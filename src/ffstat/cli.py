@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ffstat import __version__, gf, polyring as pr, statistics as st, verify
@@ -37,7 +35,7 @@ CSV_HEADER = "q,k,m,lambda,cell_id,count,expected_num,expected_den,abs_dev,cover
 
 @dataclass
 class RunConfig:
-    threads: int
+    threads: Optional[int]
     budget: int
     seed: Optional[int]
     output: Optional[str]
@@ -124,10 +122,6 @@ def parse_partition(text: str) -> Partition:
 # Envelope and output
 # ---------------------------------------------------------------------------
 
-def frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -182,7 +176,7 @@ def _csv_text(report: verify.DeviationReport) -> str:
                     str(rec.count),
                     str(rec.expected.numerator),
                     str(rec.expected.denominator),
-                    frac_str(rec.abs_dev),
+                    verify.frac_str(rec.abs_dev),
                     "1" if rec.status is verify.CoverageStatus.COVERED else "0",
                 ]
             )
@@ -233,7 +227,7 @@ def cmd_partition_prob(args, cfg):
     params = {"lambda": str(lam)}
     if cfg.dry_run:
         return None, params, _projection(0, 0), None, 0
-    return None, params, frac_str(cycle_type_probability(lam)), None, 0
+    return None, params, verify.frac_str(cycle_type_probability(lam)), None, 0
 
 
 def cmd_totient(args, cfg):
@@ -306,7 +300,9 @@ def cmd_radical(args, cfg):
     f = parse_poly(args.f, spec)
     interval = st.IntervalSpec(f, args.m)
     params = {"f": pr.poly_text(f), "m": args.m, "d": args.d}
-    enumeration = spec.q ** (interval.k // args.d) if interval.k % args.d == 0 else 0
+    if args.d <= 1 or interval.k % args.d != 0:
+        raise ValueError(f"--d {args.d} must be a divisor of k = {interval.k} greater than 1")
+    enumeration = spec.q ** (interval.k // args.d)
     if cfg.dry_run:
         return spec, params, _projection(1, enumeration), None, 0
     _check_budget(cfg, 1, enumeration)
@@ -321,7 +317,7 @@ def cmd_mean_variance(args, cfg):
     if cfg.dry_run:
         return spec, params, _projection(cells, spec.q**args.k), None, 0
     mean, var = st.mean_variance_nu(spec, args.k, args.m, cfg.budget)
-    return spec, params, {"mean": frac_str(mean), "variance": frac_str(var)}, None, 0
+    return spec, params, {"mean": verify.frac_str(mean), "variance": verify.frac_str(var)}, None, 0
 
 
 def cmd_variance_trend(args, cfg):
@@ -335,7 +331,7 @@ def cmd_variance_trend(args, cfg):
     report = verify.variance_trend(args.k, args.m, q_list, cfg.budget)
     result = {
         "limit": report.limit,
-        "per_q": [{"q": q, "ratio": frac_str(ratio)} for q, ratio in report.per_q],
+        "per_q": [{"q": q, "ratio": verify.frac_str(ratio)} for q, ratio in report.per_q],
     }
     return None, params, result, None, 0
 
@@ -348,7 +344,6 @@ def cmd_scan_intervals(args, cfg):
     if cfg.dry_run:
         return spec, params, _projection(cells, spec.q**args.k), None, 0
     opts = verify.ScanOptions(
-        workers=cfg.threads,
         budget=cfg.budget,
         per_cell=args.per_cell or cfg.fmt == "csv",
     )
@@ -363,13 +358,14 @@ def cmd_scan_progressions(args, cfg):
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
     if args.max_cells is not None:
+        if args.max_cells < 0:
+            raise ValueError(f"--max-cells {args.max_cells} must be >= 0")
         params["max_cells"] = args.max_cells
     delta = args.k - args.m - 1
     cells = spec.q ** (2 * delta) if args.max_cells is None else min(spec.q ** (2 * delta), args.max_cells)
     if cfg.dry_run:
         return spec, params, _projection(cells, cells * spec.q ** (args.m + 1)), None, 0
     opts = verify.ScanOptions(
-        workers=cfg.threads,
         budget=cfg.budget,
         per_cell=args.per_cell or cfg.fmt == "csv",
         max_cells=args.max_cells,
@@ -436,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, field_required=True):
         sp.add_argument("--p", type=int, default=None, required=False, help="field characteristic")
         sp.add_argument("--nu", type=int, default=1, help="field extension degree (default 1)")
-        sp.add_argument("--threads", type=int, default=None, help="worker count (default: machine parallelism)")
+        sp.add_argument("--threads", type=int, default=None, help="accepted and recorded; scans run in one thread")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration size")
         sp.add_argument("--seed", type=int, default=None, help="reserved for forward compatibility")
         sp.add_argument("--output", default=None, help="output path (default stdout)")
@@ -553,17 +549,14 @@ def run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    env_threads = os.environ.get("FFSTAT_THREADS")
-    if env_threads is not None:
-        threads = int(env_threads)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
+    if args.threads is not None and args.threads < 1:
         parser.error("thread count must be positive")
+    if args.budget < 0:
+        print(f"ffstat: --budget {args.budget} must be >= 0", file=sys.stderr)
+        return 2
 
     cfg = RunConfig(
-        threads=threads,
+        threads=args.threads,
         budget=args.budget,
         seed=args.seed,
         output=args.output,
@@ -584,13 +577,15 @@ def run_command(argv) -> int:
     timing_ms = int((time.monotonic() - start) * 1000) if cfg.timing else 0
 
     if cfg.fmt == "csv" and not cfg.dry_run:
-        _write(cfg, _csv_text(result))
-        return code
-    if isinstance(result, verify.DeviationReport):  # csv fell through to dry-run json
-        result = verify.report_to_dict(result)
-    command = args.command if args.command != "counterexample" else f"counterexample {args.which}"
-    envelope = make_envelope(spec, command, params, result, excluded, timing_ms)
-    _write(cfg, canonical_json(envelope))
+        text = _csv_text(result)
+    else:
+        command = args.command if args.command != "counterexample" else f"counterexample {args.which}"
+        text = canonical_json(make_envelope(spec, command, params, result, excluded, timing_ms))
+    try:
+        _write(cfg, text)
+    except OSError as exc:
+        print(f"ffstat: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

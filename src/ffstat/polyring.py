@@ -10,9 +10,7 @@ Factorization runs squarefree decomposition (with p-th root extraction
 when the derivative vanishes, valid since F_q is perfect), then
 distinct-degree splitting via gcd(f, t^{q^d} - t), then equal-degree
 splitting derandomized by iterating candidates in canonical code order
-so that output is bit-identical across runs.  A trial-division backend
-over cached irreducible lists serves as an independent cross-check on
-small domains.
+so that output is bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -321,13 +319,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(spec, _gcd_idx(_ft(spec), a.ci, b.ci))
 
 
-def make_monic(f: Poly) -> tuple[Poly, FieldElement]:
-    """Monic scaling of f together with the original leading coefficient."""
-    if f.is_zero:
-        raise ValueError("cannot normalize the zero polynomial")
-    return Poly(f.spec, _monic_idx(_ft(f.spec), f.ci)), f.leading()
-
-
 def poly_eval(f: Poly, x: FieldElement) -> FieldElement:
     """Horner evaluation."""
     spec = f.spec
@@ -546,36 +537,6 @@ def factor(f: Poly) -> Factorization:
     return Factorization(unit, tuple((Poly(spec, ci), e) for ci, e in found))
 
 
-def factor_trial(f: Poly) -> Factorization:
-    """Trial-division backend over cached irreducible lists (small domains only)."""
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    spec = f.spec
-    ft = _ft(spec)
-    unit = f.leading()
-    rem = _monic_idx(ft, f.ci)
-    found = []
-    d = 1
-    while 2 * d <= len(rem) - 1:
-        for cand in irreducibles(spec, d):
-            mult = 0
-            while True:
-                quot, r = _divrem_idx(ft, rem, cand.ci)
-                if r:
-                    break
-                rem = quot
-                mult += 1
-            if mult:
-                found.append((cand.ci, mult))
-            if len(rem) - 1 < 2 * d:
-                break
-        d += 1
-    if len(rem) > 1:
-        found.append((rem, 1))
-    found.sort(key=lambda pm: (len(pm[0]), tables.coeffs_to_code(pm[0], spec.q)))
-    return Factorization(unit, tuple((Poly(spec, ci), e) for ci, e in found))
-
-
 def factorization_type(f: Poly) -> Partition:
     """Degrees of the irreducible factors with multiplicity, as a partition of deg f."""
     if f.is_zero or len(f.ci) == 1:
@@ -620,16 +581,3 @@ def is_irreducible(f: Poly) -> bool:
             if len(g) > 1:
                 return False
     return _sub_idx(ft, cur, x) == ()
-
-
-_IRR_CACHE: dict[tuple[FieldSpec, int], tuple[Poly, ...]] = {}
-
-
-def irreducibles(spec: FieldSpec, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree d in code order (cached)."""
-    key = (spec, d)
-    cached = _IRR_CACHE.get(key)
-    if cached is None:
-        cached = tuple(f for f in all_monic(spec, d) if is_irreducible(f))
-        _IRR_CACHE[key] = cached
-    return cached

@@ -7,16 +7,13 @@ excluded cells.  The deviation bound's constant is non-effective, so no
 a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
-Reports are deterministic: cell work may be chunked across workers, but
-chunks cover fixed contiguous ranges and merge by sums and maxima in
-chunk order, so the assembled report is byte-identical for any worker
-count.
+Scans run in one thread and visit cells in order, so reports are
+deterministic; `ScanOptions.workers` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -99,7 +96,7 @@ def check_hypotheses_progression(spec: FieldSpec, k: int, m: int, d_poly: Poly, 
 
 @dataclass
 class ScanOptions:
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: scans run in one thread, in cell order
     budget: int = DEFAULT_BUDGET
     per_cell: bool = False
     max_cells: Optional[int] = None
@@ -113,13 +110,6 @@ class CellRecord:
     expected: Fraction
     abs_dev: Fraction
     status: CoverageStatus
-
-
-@dataclass
-class ExcludedAggregate:
-    cells: int = 0
-    min_count: Optional[int] = None
-    max_count: Optional[int] = None
 
 
 @dataclass
@@ -183,96 +173,53 @@ def report_to_dict(report: DeviationReport) -> dict:
 
 
 class _Aggregator:
-    """Order-independent cell aggregation: sums, extreme counts per status."""
+    """Running scan totals: the cell count and the largest |count - expected| per status.
+
+    A cell's expected value arrives as num/den and its deviation is kept
+    as the integer |count * den - num| beside den, so maxima compare by
+    cross-multiplication and a Fraction is built once per status.
+    """
 
     def __init__(self):
         self.cells = 0
-        self.covered_cells = 0
         self.total_count = 0
-        self.covered_min: Optional[int] = None
-        self.covered_max: Optional[int] = None
-        self.excluded: dict[str, ExcludedAggregate] = {}
-        self.rows: list[CellRecord] = []
+        self.status_cells: dict[CoverageStatus, int] = {}
+        self.max_dev: dict[CoverageStatus, tuple[int, int]] = {}
 
-    def add(self, count: int, coverage: Coverage, record: Optional[CellRecord]) -> None:
+    def add(self, count: int, num: int, den: int, status: CoverageStatus) -> None:
         self.cells += 1
         self.total_count += count
-        if coverage.covered:
-            self.covered_cells += 1
-            if self.covered_min is None or count < self.covered_min:
-                self.covered_min = count
-            if self.covered_max is None or count > self.covered_max:
-                self.covered_max = count
-        else:
-            agg = self.excluded.setdefault(coverage.status.value, ExcludedAggregate())
-            agg.cells += 1
-            if agg.min_count is None or count < agg.min_count:
-                agg.min_count = count
-            if agg.max_count is None or count > agg.max_count:
-                agg.max_count = count
-        if record is not None:
-            self.rows.append(record)
+        self.status_cells[status] = self.status_cells.get(status, 0) + 1
+        dev = abs(count * den - num)
+        best = self.max_dev.get(status)
+        if best is None or dev * best[1] > best[0] * den:
+            self.max_dev[status] = (dev, den)
 
-    def merge(self, other: "_Aggregator") -> None:
-        self.cells += other.cells
-        self.covered_cells += other.covered_cells
-        self.total_count += other.total_count
-        for lo, hi in ((other.covered_min, other.covered_max),):
-            if lo is not None:
-                if self.covered_min is None or lo < self.covered_min:
-                    self.covered_min = lo
-                if self.covered_max is None or hi > self.covered_max:
-                    self.covered_max = hi
-        for status, agg in other.excluded.items():
-            mine = self.excluded.setdefault(status, ExcludedAggregate())
-            mine.cells += agg.cells
-            if agg.min_count is not None:
-                if mine.min_count is None or agg.min_count < mine.min_count:
-                    mine.min_count = agg.min_count
-                if mine.max_count is None or agg.max_count > mine.max_count:
-                    mine.max_count = agg.max_count
-        self.rows.extend(other.rows)
-
-
-def _max_dev(min_count: Optional[int], max_count: Optional[int], expected: Fraction) -> Optional[Fraction]:
-    if min_count is None:
-        return None
-    return max(abs(Fraction(min_count) - expected), abs(Fraction(max_count) - expected))
-
-
-def _run_chunks(worker, n_chunks_hint: int, total: int):
-    """Split [0, total) into contiguous chunks and merge results in chunk order."""
-    workers = max(1, n_chunks_hint)
-    bounds = []
-    step = -(-total // workers) if total else 0
-    lo = 0
-    while lo < total:
-        hi = min(lo + step, total)
-        bounds.append((lo, hi))
-        lo = hi
-    if not bounds:
-        bounds = [(0, 0)]
-    if workers == 1 or len(bounds) == 1:
-        results = [worker(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: worker(*b), bounds))
-    merged = results[0]
-    for res in results[1:]:
-        merged.merge(res)
-    return merged
-
-
-def _excluded_dict(agg: _Aggregator, expected: Fraction) -> dict[str, dict]:
-    out = {}
-    for status in sorted(agg.excluded):
-        ex = agg.excluded[status]
-        dev = _max_dev(ex.min_count, ex.max_count, expected)
-        out[status] = {
-            "cells": ex.cells,
-            "max_abs_dev": frac_str(dev) if dev is not None else None,
+    def report(self, mode: str, q: int, k: int, m: int, lam: Partition, expected: Optional[Fraction],
+               rows: Optional[list[CellRecord]], truncated: bool = False) -> DeviationReport:
+        devs = {status: Fraction(*best) for status, best in self.max_dev.items()}
+        max_dev = devs.get(CoverageStatus.COVERED)
+        excluded = {
+            status.value: {"cells": self.status_cells[status], "max_abs_dev": frac_str(devs[status])}
+            for status in sorted(self.status_cells, key=lambda s: s.value)
+            if status is not CoverageStatus.COVERED
         }
-    return out
+        return DeviationReport(
+            mode=mode,
+            q=q,
+            k=k,
+            m=m,
+            lam=lam,
+            cells=self.cells,
+            covered_cells=self.status_cells.get(CoverageStatus.COVERED, 0),
+            total_count=self.total_count,
+            expected=expected,
+            max_abs_dev=max_dev,
+            normalized_constant=normalized_deviation(max_dev, q, m) if max_dev is not None else None,
+            excluded=excluded,
+            truncated=truncated,
+            per_cell=tuple(rows) if rows is not None else None,
+        )
 
 
 def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Optional[ScanOptions] = None) -> DeviationReport:
@@ -282,6 +229,9 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     zeroed), classifies each against the hypotheses, and aggregates the
     deviation |count - P(lam) q^{m+1}| over covered cells; excluded
     cells are tallied per status, never merged into the covered figures.
+    Coverage depends on the representative only for p = 2 and m = 2
+    (p = 2 divides k(k-1), so m = 1 is always excluded and m >= 3 always
+    covered); every other scan classifies once, on code 0.
     """
     opts = options or ScanOptions()
     if not 1 <= m < k:
@@ -295,44 +245,19 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
         )
     pt = tables.poly_tables(spec, k, opts.budget)
-    pid = pt.pid_of(lam)
     block = q ** (m + 1)
-    n_bases = q ** (k - m - 1)
     expected = cycle_type_probability(lam) * block
-
-    def work(lo: int, hi: int) -> _Aggregator:
-        agg = _Aggregator()
-        if lo == hi:
-            return agg
-        counts = pt.block_counts(k, pid, block, lo, hi)
-        for i, base in enumerate(range(lo, hi)):
-            rep = pr.monic_from_code(spec, k, base * block)
-            cov = check_hypotheses_interval(spec, k, m, rep)
-            count = int(counts[i])
-            record = None
-            if opts.per_cell:
-                dev = abs(Fraction(count) - expected)
-                record = CellRecord(base, pr.poly_text(rep), count, expected, dev, cov.status)
-            agg.add(count, cov, record)
-        return agg
-
-    agg = _run_chunks(work, opts.workers, n_bases)
-    max_dev = _max_dev(agg.covered_min, agg.covered_max, expected)
-    return DeviationReport(
-        mode="interval",
-        q=q,
-        k=k,
-        m=m,
-        lam=lam,
-        cells=agg.cells,
-        covered_cells=agg.covered_cells,
-        total_count=agg.total_count,
-        expected=expected,
-        max_abs_dev=max_dev,
-        normalized_constant=normalized_deviation(max_dev, q, m) if max_dev is not None else None,
-        excluded=_excluded_dict(agg, expected),
-        per_cell=tuple(agg.rows) if opts.per_cell else None,
-    )
+    per_rep = spec.p == 2 and m == 2
+    fixed = None if per_rep else check_hypotheses_interval(spec, k, m, pr.monic_from_code(spec, k, 0)).status
+    agg = _Aggregator()
+    rows: Optional[list[CellRecord]] = [] if opts.per_cell else None
+    for base, count in enumerate(pt.block_counts(k, pt.pid_of(lam), block).tolist()):
+        rep = pr.monic_from_code(spec, k, base * block) if per_rep or opts.per_cell else None
+        status = check_hypotheses_interval(spec, k, m, rep).status if per_rep else fixed
+        agg.add(count, expected.numerator, expected.denominator, status)
+        if rows is not None:
+            rows.append(CellRecord(base, pr.poly_text(rep), count, expected, abs(count - expected), status))
+    return agg.report("interval", q, k, m, lam, expected, rows)
 
 
 def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: Optional[ScanOptions] = None) -> DeviationReport:
@@ -364,107 +289,30 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     pid = pt.pid_of(lam)
     pi_lam = exact_type_count(q, k, lam)
     types = pt.types[k]
-
-    cells: list[tuple[int, Poly, Poly, Fraction]] = []
+    agg = _Aggregator()
+    rows: Optional[list[CellRecord]] = [] if opts.per_cell else None
     truncated = False
     for dcode in range(q**delta):
         d_poly = pr.monic_from_code(spec, delta, dcode)
-        phi: Optional[int] = None
+        phi = st.poly_totient(d_poly)
         for fcode in range(q**delta):
-            digits = []
-            c = fcode
-            for _ in range(delta):
-                digits.append(c % q)
-                c //= q
+            digits = tables.code_to_coeffs(fcode, delta, q)[:-1]
             f_poly = pr.poly_from_indices(spec, digits)
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
                 continue
-            if phi is None:
-                phi = st.poly_totient(d_poly)
-            if opts.max_cells is not None and len(cells) >= opts.max_cells:
+            if opts.max_cells is not None and agg.cells >= opts.max_cells:
                 truncated = True
                 break
-            cell_id = dcode * q**delta + fcode
-            cells.append((cell_id, d_poly, f_poly, Fraction(pi_lam, phi)))
+            count = int((types[pt.progression_codes(d_poly.ci, digits, k)] == pid).sum())
+            status = check_hypotheses_progression(spec, k, m, d_poly, f_poly).status
+            agg.add(count, pi_lam, phi, status)
+            if rows is not None:
+                expected = Fraction(pi_lam, phi)
+                label = f"D={pr.poly_text(d_poly)};f={pr.poly_text(f_poly)}"
+                rows.append(CellRecord(dcode * q**delta + fcode, label, count, expected, abs(count - expected), status))
         if truncated:
             break
-
-    # expected varies per cell (phi(D) differs), so deviations aggregate as per-cell maxima
-    def work_exact(lo: int, hi: int):
-        agg = _Aggregator()
-        agg.cov_dev_max = None
-        agg.excl_dev_max = {}
-        for idx in range(lo, hi):
-            cell_id, d_poly, f_poly, expected = cells[idx]
-            f_digits = list(f_poly.ci) + [0] * (delta - len(f_poly.ci))
-            codes = pt.progression_codes(d_poly.ci, f_digits, k)
-            count = int((types[codes] == pid).sum())
-            cov = check_hypotheses_progression(spec, k, m, d_poly, f_poly)
-            dev = abs(Fraction(count) - expected)
-            record = None
-            if opts.per_cell:
-                label = f"D={pr.poly_text(d_poly)};f={pr.poly_text(f_poly)}"
-                record = CellRecord(cell_id, label, count, expected, dev, cov.status)
-            agg.add(count, cov, record)
-            if cov.covered:
-                if agg.cov_dev_max is None or dev > agg.cov_dev_max:
-                    agg.cov_dev_max = dev
-            else:
-                key = cov.status.value
-                if key not in agg.excl_dev_max or dev > agg.excl_dev_max[key]:
-                    agg.excl_dev_max[key] = dev
-        return agg
-
-    def merge_exact(a, b):
-        a.merge(b)
-        if b.cov_dev_max is not None and (a.cov_dev_max is None or b.cov_dev_max > a.cov_dev_max):
-            a.cov_dev_max = b.cov_dev_max
-        for key, dev in b.excl_dev_max.items():
-            if key not in a.excl_dev_max or dev > a.excl_dev_max[key]:
-                a.excl_dev_max[key] = dev
-        return a
-
-    total = len(cells)
-    workers = max(1, opts.workers)
-    bounds = []
-    step = -(-total // workers) if total else 0
-    lo = 0
-    while lo < total:
-        bounds.append((lo, min(lo + step, total)))
-        lo = min(lo + step, total)
-    if not bounds:
-        bounds = [(0, 0)]
-    if workers == 1 or len(bounds) == 1:
-        results = [work_exact(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: work_exact(*b), bounds))
-    agg = results[0]
-    for res in results[1:]:
-        agg = merge_exact(agg, res)
-
-    max_dev = agg.cov_dev_max
-    excl = {}
-    for status in sorted(agg.excluded):
-        ex = agg.excluded[status]
-        dev = agg.excl_dev_max.get(status)
-        excl[status] = {"cells": ex.cells, "max_abs_dev": frac_str(dev) if dev is not None else None}
-    return DeviationReport(
-        mode="progression",
-        q=q,
-        k=k,
-        m=m,
-        lam=lam,
-        cells=agg.cells,
-        covered_cells=agg.covered_cells,
-        total_count=agg.total_count,
-        expected=None,
-        max_abs_dev=max_dev,
-        normalized_constant=normalized_deviation(max_dev, q, m) if max_dev is not None else None,
-        excluded=excl,
-        truncated=truncated,
-        per_cell=tuple(agg.rows) if opts.per_cell else None,
-    )
+    return agg.report("progression", q, k, m, lam, None, rows, truncated)
 
 
 # ---------------------------------------------------------------------------

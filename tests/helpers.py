@@ -7,7 +7,7 @@ expansion) so the library paths they check against stay independent.
 
 from itertools import permutations
 
-from ffstat import polyring as pr, tables
+from ffstat import gf, polyring as pr, tables
 from ffstat import statistics as st
 
 
@@ -105,3 +105,43 @@ def brute_totient(d_poly):
     if deg == 0:
         return 1
     return count
+
+
+_IRR_CACHE = {}
+
+
+def irreducibles(spec, d):
+    """All monic irreducibles of degree d in code order (cached)."""
+    key = (spec, d)
+    if key not in _IRR_CACHE:
+        _IRR_CACHE[key] = tuple(f for f in pr.all_monic(spec, d) if pr.is_irreducible(f))
+    return _IRR_CACHE[key]
+
+
+def factor_trial(f):
+    """Factorization by trial division over the irreducibles of each degree (small domains only)."""
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    spec = f.spec
+    unit = f.leading()
+    rem = pr.poly_mul(pr.constant_poly(spec, gf.fe_inv(spec, unit)), f)
+    found = []
+    d = 1
+    while 2 * d <= rem.degree:
+        for cand in irreducibles(spec, d):
+            mult = 0
+            while True:
+                quot, r = pr.poly_divrem(rem, cand)
+                if not r.is_zero:
+                    break
+                rem = quot
+                mult += 1
+            if mult:
+                found.append((cand, mult))
+            if rem.degree < 2 * d:
+                break
+        d += 1
+    if rem.degree > 0:
+        found.append((rem, 1))
+    found.sort(key=lambda pm: (pm[0].degree, pr.monic_code(pm[0])))
+    return pr.Factorization(unit, tuple(found))

@@ -204,6 +204,40 @@ def test_threads_env_override(capsys, monkeypatch):
     assert base == with_env
 
 
+def test_threads_env_ignored(capsys, monkeypatch):
+    # FFSTAT_THREADS is not read: a malformed value changes neither the report nor the exit code
+    argv = ["scan-intervals", "--p", "3", "--nu", "1", "--k", "5", "--m", "2", "--lambda", "5"]
+    base = run(capsys, argv)
+    monkeypatch.setenv("FFSTAT_THREADS", "abc")
+    assert run(capsys, argv) == base
+    assert base[0] == 0
+
+
+def _assert_usage_error(result):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("ffstat: ") and err.count("\n") == 1, err
+
+
+def test_contract_holes_exit_2(capsys):
+    cases = [
+        ["scan-progressions", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--max-cells", "-1"],
+        ["scan-progressions", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--max-cells", "-1", "--dry-run"],
+        ["pi", "--p", "2", "--k", "3", "--budget", "-1"],
+        ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "-1", "--dry-run"],
+        ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "1", "--dry-run"],
+        ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "3", "--dry-run"],
+    ]
+    for argv in cases:
+        _assert_usage_error(run(capsys, argv))
+
+
+def test_output_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    _assert_usage_error(run(capsys, ["pi", "--p", "2", "--k", "4", "--output", str(target)]))
+    assert not target.exists()
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, ["pi", "--p", "2", "--k", "4", "--output", str(target)])

@@ -128,6 +128,68 @@ def test_scan_intervals_budget(F3):
         verify.scan_intervals(F3, 6, 1, Partition((6,)), ScanOptions(budget=100))
 
 
+def test_scan_intervals_status_matches_representative():
+    # coverage is classified once per scan except at p = 2, m = 2; every cell must still
+    # carry the status of its own canonical representative
+    for q in (2, 3, 4, 8):
+        spec = gf.make_field(*gf.prime_power(q))
+        for k in range(2, (4 if q == 8 else 6) + 1):
+            for m in range(1, k):
+                report = verify.scan_intervals(spec, k, m, Partition((k,)), ScanOptions(per_cell=True))
+                for rec in report.per_cell:
+                    rep = pr.monic_from_code(spec, k, rec.cell_id * q ** (m + 1))
+                    assert rec.status is verify.check_hypotheses_interval(spec, k, m, rep).status, (q, k, m, rec)
+
+
+def _summary_from_rows(report):
+    """The aggregate fields of a scan report, recomputed from its per-cell rows."""
+    groups = {}
+    for rec in report.per_cell:
+        groups.setdefault(rec.status, []).append(rec.abs_dev)
+    covered = groups.pop(CoverageStatus.COVERED, [])
+    return {
+        "cells": len(report.per_cell),
+        "covered_cells": len(covered),
+        "total_count": sum(rec.count for rec in report.per_cell),
+        "max_abs_dev": max(covered, default=None),
+        "excluded": {
+            status.value: {"cells": len(devs), "max_abs_dev": verify.frac_str(max(devs))}
+            for status, devs in sorted(groups.items(), key=lambda item: item[0].value)
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "mode,q,k,m,has_excluded",
+    [
+        ("interval", 2, 5, 1, True),  # p = 2 divides k(k-1)
+        ("interval", 2, 5, 2, False),
+        ("interval", 2, 6, 2, True),  # p = m = 2: some cells have deg f' <= 1
+        ("interval", 2, 6, 3, False),
+        ("interval", 3, 6, 1, True),
+        ("interval", 3, 5, 2, False),
+        ("progression", 2, 5, 1, True),  # m = 1 < 2
+        ("progression", 2, 5, 2, True),  # p = m = 2: some (f/D)' are constant
+        ("progression", 2, 6, 2, False),
+        ("progression", 3, 5, 1, True),
+        ("progression", 3, 5, 2, False),
+    ],
+)
+def test_scan_aggregates_match_rows(mode, q, k, m, has_excluded):
+    spec = gf.make_field(q, 1)
+    scan = verify.scan_intervals if mode == "interval" else verify.scan_progressions
+    for lam in (Partition((k,)), Partition((k - 1, 1))):
+        report = scan(spec, k, m, lam, ScanOptions(per_cell=True))
+        assert _summary_from_rows(report) == {
+            "cells": report.cells,
+            "covered_cells": report.covered_cells,
+            "total_count": report.total_count,
+            "max_abs_dev": report.max_abs_dev,
+            "excluded": report.excluded,
+        }, (mode, q, k, m, lam)
+        assert bool(report.excluded) == has_excluded
+
+
 def test_scan_intervals_worker_determinism(F3):
     lam = Partition((5,))
     r1 = verify.scan_intervals(F3, 5, 2, lam, ScanOptions(workers=1, per_cell=True))
