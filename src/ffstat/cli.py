@@ -425,8 +425,15 @@ def cmd_counterexample(args, cfg):
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `ffstat: ...` line and exits 2; subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"ffstat: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ffstat", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="ffstat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, field_required=True):

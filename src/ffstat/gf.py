@@ -161,12 +161,6 @@ def make_field(p: int, nu: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
     raise AssertionError("no irreducible modulus found")  # unreachable: irreducibles exist
 
 
-def field_for_order(q: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
-    """Build the field of order q (a prime power)."""
-    p, nu = prime_power(q)
-    return make_field(p, nu, q_limit)
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -239,13 +233,6 @@ def fe_neg(spec: FieldSpec, a: FieldElement) -> FieldElement:
     _check(spec, a)
     p = spec.p
     return FieldElement(tuple((-x) % p for x in a.coeffs))
-
-
-def fe_sub(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    _check(spec, a)
-    _check(spec, b)
-    p = spec.p
-    return FieldElement(tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def fe_mul(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:

@@ -49,12 +49,6 @@ class Poly:
     def coeffs(self) -> tuple[FieldElement, ...]:
         return tuple(gf.element_from_index(self.spec, i) for i in self.ci)
 
-    def coeff_index(self, i: int) -> int:
-        return self.ci[i] if 0 <= i < len(self.ci) else 0
-
-    def constant_index(self) -> int:
-        return self.ci[0] if self.ci else 0
-
     def leading(self) -> FieldElement:
         if not self.ci:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -274,15 +268,6 @@ def poly_add(a: Poly, b: Poly) -> Poly:
     return Poly(spec, _add_idx(_ft(spec), a.ci, b.ci))
 
 
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    spec = _same_spec(a, b)
-    return Poly(spec, _sub_idx(_ft(spec), a.ci, b.ci))
-
-
-def poly_neg(a: Poly) -> Poly:
-    return Poly(a.spec, _neg_idx(_ft(a.spec), a.ci))
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     spec = _same_spec(a, b)
     return Poly(spec, _mul_idx(_ft(spec), a.ci, b.ci))
@@ -398,12 +383,6 @@ class Factorization:
             for _ in range(mult):
                 acc = _mul_idx(ft, acc, poly.ci)
         return Poly(spec, acc)
-
-    def expand(self) -> Poly:
-        """Multiply back out; the field is inferred from the first factor."""
-        if not self.factors:
-            raise ValueError("constant factorization: use expand_over(spec)")
-        return self.expand_over(self.factors[0][0].spec)
 
 
 def _pth_root_idx(ft, spec, a):

@@ -1,17 +1,21 @@
 """Counting objects over F_q[t]: censuses, totient, von Mangoldt sums.
 
 Short intervals I(f, m) = f + {polynomials of degree <= m} and residue
-classes {f + D*g} are the two enumeration domains.  Census operations
-factor every member directly unless type tables for the field are
-already cached (`tables.poly_tables`), in which case members reduce to
-table lookups; the two paths are interchangeable and cross-checked in
-the tests.
+classes {f + D*g} are the two enumeration domains.  Every census over
+one of them lists its members' codes (see `tables`) and takes one of two
+routes, chosen by one rule in `census_tables`: a lookup in the field's
+type tables, or factoring each member with `polyring`.  Tables already
+built are always used; new ones are built only when sieving them costs
+at most TABLE_COST_RATIO codes per member.  The two routes give the same counts and are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ffstat import gf, polyring as pr, tables
 from ffstat.combinatorics import Partition, divisors, partitions_of
@@ -59,11 +63,15 @@ class IntervalSpec:
         """Shared top-coefficient block index: member codes are base*size .. base*size+size-1."""
         return pr.monic_code(self.f) // self.size
 
+    def codes(self) -> range:
+        """The q^{m+1} member codes, in order."""
+        lo = self.base_code() * self.size
+        return range(lo, lo + self.size)
+
     def members(self):
         """All q^{m+1} members in code order."""
-        base = self.base_code() * self.size
-        for j in range(self.size):
-            yield pr.monic_from_code(self.spec, self.k, base + j)
+        for code in self.codes():
+            yield pr.monic_from_code(self.spec, self.k, code)
 
     def contains(self, g: Poly) -> bool:
         if g.spec != self.spec or not g.is_monic or g.degree != self.k:
@@ -105,6 +113,10 @@ class ProgressionSpec:
         for g in pr.all_monic(self.spec, r):
             yield pr.poly_add(self.f, pr.poly_mul(self.D, g))
 
+    def codes(self) -> list[int]:
+        """Member codes in the order of `members`."""
+        return [pr.monic_code(h) for h in self.members()]
+
 
 @dataclass
 class TypeCensus:
@@ -126,17 +138,51 @@ class TypeCensus:
 
 
 # ---------------------------------------------------------------------------
-# Censuses
+# The census engine
 # ---------------------------------------------------------------------------
 
-def _census_from_codes(spec: FieldSpec, k: int, codes, pt: tables.PolyTables) -> TypeCensus:
-    counts: dict[Partition, int] = {}
-    types = pt.types[k]
-    parts = pt.partitions[k]
-    for code in codes:
-        lam = parts[int(types[code])]
-        counts[lam] = counts.get(lam, 0) + 1
-    return TypeCensus(k, counts)
+# Building type tables sieves every monic code of degree 1..k.  On a 2-core
+# x86 machine with Python 3.11 a code costs 2.6-7.8 us to sieve and a
+# member 120-330 us to factor (q in {2,3,5,7,9}, q^k up to 3^9), so tables
+# break even at 37-74 codes a member.  A smaller ratio keeps the tables,
+# and the memory they take, to queries that clearly repay them.
+TABLE_COST_RATIO = 8
+
+
+def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | None:
+    """The route for a census of `members` monic degree-k polynomials.
+
+    Returns type tables covering degree k, or None when each member is to
+    be factored.  Tables already built are always used.  Otherwise they
+    are built only when they fit the enumeration budget and sieving every
+    code of degree 1..k costs at most TABLE_COST_RATIO codes per member.
+    """
+    pt = tables.cached_poly_tables(spec, k)
+    if pt is not None:
+        return pt
+    q = spec.q
+    if q**k > DEFAULT_BUDGET or sum(q**d for d in range(1, k + 1)) > TABLE_COST_RATIO * members:
+        return None
+    return tables.poly_tables(spec, k)
+
+
+def _member_values(spec: FieldSpec, k: int, codes: range | list[int], table, of_member):
+    """One integer per member code: `table(pt)[codes]` on the table route, else `of_member` of each member."""
+    pt = census_tables(spec, k, len(codes))
+    if pt is None:
+        return [of_member(pr.monic_from_code(spec, k, c)) for c in codes]
+    if isinstance(codes, range):  # an interval's block of codes, read as a view
+        codes = slice(codes.start, codes.stop)
+    return table(pt)[codes]
+
+
+def _census(spec: FieldSpec, k: int, codes: range | list[int]) -> TypeCensus:
+    """Factorization-type census of the monic degree-k polynomials with these codes."""
+    parts = partitions_of(k)
+    pid = {lam: i for i, lam in enumerate(parts)}
+    ids = _member_values(spec, k, codes, lambda pt: pt.types[k], lambda g: pid[pr.factorization_type(g)])
+    counts = np.bincount(ids, minlength=len(parts)).tolist()
+    return TypeCensus(k, {lam: n for lam, n in zip(parts, counts) if n})
 
 
 def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
@@ -163,25 +209,11 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         scale = pr.constant_poly(spec, gf.fe_inv(spec, f.leading()))
         f = pr.poly_mul(f, scale)
         g = pr.poly_mul(g, scale)
+    if g.degree == 0:  # f + g*h runs over the whole interval around f
+        return _census(spec, k, IntervalSpec(f, m).codes())
     q = spec.q
-    pt = tables.cached_poly_tables(spec, k)
-    counts: dict[Partition, int] = {}
-    types = pt.types[k] if pt is not None else None
-    parts = pt.partitions[k] if pt is not None else None
-    for hcode in range(q ** (m + 1)):
-        digits = []
-        c = hcode
-        for _ in range(m + 1):
-            digits.append(c % q)
-            c //= q
-        h = pr.poly_from_indices(spec, digits)
-        s = pr.poly_add(f, pr.poly_mul(g, h))
-        if types is not None:
-            lam = parts[int(types[pr.monic_code(s)])]
-        else:
-            lam = pr.factorization_type(s)
-        counts[lam] = counts.get(lam, 0) + 1
-    return TypeCensus(k, counts)
+    hs = (pr.poly_from_indices(spec, tables.code_to_coeffs(c, m + 1, q)[:-1]) for c in range(q ** (m + 1)))
+    return _census(spec, k, [pr.monic_code(pr.poly_add(f, pr.poly_mul(g, h))) for h in hs])
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:
@@ -191,17 +223,7 @@ def interval_counts(interval: IntervalSpec) -> TypeCensus:
 
 def progression_counts(prog: ProgressionSpec) -> TypeCensus:
     """Census over the monic degree-k members of a residue class."""
-    spec = prog.spec
-    pt = tables.cached_poly_tables(spec, prog.k)
-    if pt is not None:
-        f_digits = list(prog.f.ci) + [0] * (prog.D.degree - len(prog.f.ci))
-        codes = pt.progression_codes(prog.D.ci, f_digits, prog.k)
-        return _census_from_codes(spec, prog.k, codes, pt)
-    counts: dict[Partition, int] = {}
-    for h in prog.members():
-        lam = pr.factorization_type(h)
-        counts[lam] = counts.get(lam, 0) + 1
-    return TypeCensus(prog.k, counts)
+    return _census(prog.spec, prog.k, prog.codes())
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +259,10 @@ def nu(f: Poly, m: int) -> int:
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    interval = IntervalSpec(f, m).canonical()
-    spec = f.spec
-    pt = tables.cached_poly_tables(spec, k)
-    if pt is not None:
-        base = interval.base_code()
-        lam = pt.lambda_table(k)
-        block = interval.size
-        total = int(lam[base * block : (base + 1) * block].sum())
-        # the only prime power with zero constant term is t^k (Lambda = 1)
-        if base == 0:
-            total -= 1
-        return total
-    total = 0
-    for g in interval.members():
-        if g.constant_index() != 0:
-            total += von_mangoldt(g)
-    return total
+    codes = IntervalSpec(f, m).codes()
+    values = _member_values(f.spec, k, codes, lambda pt: pt.lambda_table(k), von_mangoldt)
+    # the only prime power with zero constant term is t^k (code 0, Lambda = 1)
+    return int(np.sum(values)) - (codes[0] == 0)
 
 
 def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:

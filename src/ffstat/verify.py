@@ -80,6 +80,11 @@ def check_hypotheses_progression(spec: FieldSpec, k: int, m: int, d_poly: Poly, 
         raise ValueError("modulus degree must equal k - m - 1 >= 1")
     if pr.poly_gcd(f, d_poly).degree != 0:
         raise ValueError("residue must be coprime to the modulus")
+    return _classify_progression(spec, m, d_poly, f)
+
+
+def _classify_progression(spec: FieldSpec, m: int, d_poly: Poly, f: Poly) -> Coverage:
+    """The progression hypotheses for a residue f already known coprime to D of degree k - m - 1."""
     if m < 2:
         return Coverage(CoverageStatus.EXCLUDED_SMALL_M, f"m = {m} < 2")
     if spec.p == 2 and m == 2 and pr.rational_derivative_is_constant(f, d_poly):
@@ -276,6 +281,8 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
         raise ValueError("m must be >= 0")
     if lam.k != k:
         raise ValueError(f"{lam} is not a partition of {k}")
+    if opts.max_cells is not None and opts.max_cells < 0:
+        raise ValueError(f"max_cells = {opts.max_cells} must be >= 0")
     q = spec.q
     block = q ** (m + 1)
     # cells are bounded by q^{2 delta}; enumeration touches block members per cell
@@ -304,7 +311,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
                 truncated = True
                 break
             count = int((types[pt.progression_codes(d_poly.ci, digits, k)] == pid).sum())
-            status = check_hypotheses_progression(spec, k, m, d_poly, f_poly).status
+            status = _classify_progression(spec, m, d_poly, f_poly).status
             agg.add(count, pi_lam, phi, status)
             if rows is not None:
                 expected = Fraction(pi_lam, phi)

@@ -45,7 +45,7 @@ def direct_nu(f, m):
     """Filtered von Mangoldt sum by factoring every member."""
     total = 0
     for g in st.IntervalSpec(f, m).canonical().members():
-        if g.constant_index() != 0:
+        if g.ci[0] != 0:  # members are monic, so ci is never empty
             total += st.von_mangoldt(g)
     return total
 

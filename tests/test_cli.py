@@ -230,6 +230,11 @@ def test_contract_holes_exit_2(capsys):
     ]
     for argv in cases:
         _assert_usage_error(run(capsys, argv))
+    # argparse's own errors exit from the parser
+    for argv in (["pi", "--p", "2", "--k", "3", "--threads", "0"], ["pi", "--p", "2", "--k", "x"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        _assert_usage_error((exc.value.code, *capsys.readouterr()))
 
 
 def test_output_into_missing_directory(capsys, tmp_path):

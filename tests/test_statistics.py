@@ -161,6 +161,89 @@ def test_progression_prime_partition_identity():
 
 
 # ---------------------------------------------------------------------------
+# The census route
+# ---------------------------------------------------------------------------
+
+def _direct_progression_census(prog):
+    counts = {}
+    for g in prog.members():
+        lam = pr.factorization_type(g)
+        counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
+def test_census_route_rule(monkeypatch):
+    # each census, from an empty table cache, takes the route the rule names, then the table route once warm
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    F2, F3, F5 = (gf.make_field(p, 1) for p in (2, 3, 5))
+    t2 = pr.monomial(F2, 1)
+    cases = [
+        # (field, k, census, oracle, tables built); the sieve sums q^d over d = 1..k against 8 codes a member
+        (F5, 3, lambda: st.interval_counts(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), True),  # 155 <= 8 * 125
+        (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), False),  # 363 > 8 * 9
+        (F3, 3, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)).counts,
+         lambda: _direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), True),  # 39 <= 8 * 9
+        (F3, 5, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)).counts,
+         lambda: _direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # 363 > 8 * 27
+        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), True),  # 30 <= 8 * 16
+        (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), False),
+    ]
+    factored = []
+    factor = pr.factor
+    monkeypatch.setattr(pr, "factor", lambda f: factored.append(f) or factor(f))
+    for spec, k, census, oracle, built in cases:
+        tables._PT_CACHE.clear()
+        expected = oracle()
+        del factored[:]
+        assert census() == expected
+        assert (spec in tables._PT_CACHE) is built
+        assert bool(factored) is not built
+        tables.poly_tables(spec, k)
+        del factored[:]
+        assert census() == expected
+        assert not factored
+
+
+def test_census_tables_boundary(monkeypatch):
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    F2 = gf.make_field(2, 1)
+    assert st.census_tables(F2, 4, 3) is None  # 2 + 4 + 8 + 16 = 30 > 8 * 3
+    pt = st.census_tables(F2, 4, 4)  # 30 <= 8 * 4
+    assert pt is not None and pt.kmax == 4
+    assert st.census_tables(F2, 3, 1) is pt  # tables already built cover any smaller degree
+    assert st.census_tables(F2, 27, 2**27) is None  # PolyTables would exceed the enumeration budget
+    assert tables._PT_CACHE[F2] is pt
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3)])
+def test_census_routes_agree(q, kmax, monkeypatch):
+    # every interval and residue class, counted by factoring and by table lookup
+    spec = gf.make_field(*gf.prime_power(q))
+    pt = tables.poly_tables(spec, kmax)
+    results = {}
+    for route in (None, pt):
+        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, route=route: route)
+        out = results[route is None] = []
+        for k in range(2, kmax + 1):
+            for m in range(0, k):
+                for base in range(q ** (k - m - 1)):
+                    f = pr.monic_from_code(spec, k, base * q ** (m + 1))
+                    out.append(st.interval_counts(st.IntervalSpec(f, m)).counts)
+                    if m >= 1:
+                        out.append(st.nu(f, m))
+            for delta in range(1, k):
+                for dcode in range(q**delta):
+                    d_poly = pr.monic_from_code(spec, delta, dcode)
+                    for fcode in range(q**delta):
+                        f = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
+                        if pr.poly_gcd(f, d_poly).degree == 0:
+                            out.append(st.progression_counts(st.ProgressionSpec(d_poly, f, k)).counts)
+    assert results[True] == results[False]
+
+
+# ---------------------------------------------------------------------------
 # Totient
 # ---------------------------------------------------------------------------
 

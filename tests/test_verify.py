@@ -250,6 +250,21 @@ def test_scan_progressions_rejects_degenerate(F3):
         verify.scan_progressions(F3, 2, 1, Partition((2,)))  # deg D = 0
 
 
+def test_scan_progressions_rejects_negative_max_cells(F3):
+    with pytest.raises(ValueError):
+        verify.scan_progressions(F3, 4, 1, Partition((4,)), ScanOptions(max_cells=-1))
+
+
+def test_scan_progressions_one_gcd_per_residue(F3, monkeypatch):
+    # every (D, f) pair is tested for coprimality once; classifying a kept cell does not repeat it
+    calls = []
+    gcd = pr.poly_gcd
+    monkeypatch.setattr(pr, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    report = verify.scan_progressions(F3, 5, 2, Partition((5,)))
+    assert len(calls) == 3**2 * 3**2
+    assert report.cells == 54
+
+
 # ---------------------------------------------------------------------------
 # Counterexamples
 # ---------------------------------------------------------------------------
