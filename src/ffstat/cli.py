@@ -16,13 +16,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ffstat import __version__, gf, polyring as pr, statistics as st, verify
 from ffstat.combinatorics import (
     Partition,
     cycle_type_probability,
+    divisors,
     exact_prime_count,
     exact_type_count,
 )
@@ -185,7 +186,12 @@ def _csv_text(report: verify.DeviationReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (spec, params, result, excluded, exit_code)
+# Command handlers
+#
+# Each handler checks its arguments as the run would, then returns
+# (spec, params, (projected cells, projected enumeration), run), where
+# run() does the work and returns (result, excluded, exit_code).  A dry
+# run prints the projection; any other run must fit it into --budget.
 # ---------------------------------------------------------------------------
 
 def _field_from_args(args) -> FieldSpec:
@@ -194,49 +200,39 @@ def _field_from_args(args) -> FieldSpec:
     return gf.make_field(args.p, args.nu)
 
 
-def _projection(cells: int, enumeration: int) -> dict:
-    return {"projected_cells": cells, "projected_enumeration": enumeration}
-
-
-def _check_budget(cfg: RunConfig, cells: int, enumeration: int) -> None:
-    if enumeration > cfg.budget:
-        raise BudgetError(
-            f"projected enumeration {enumeration} over {cells} cells exceeds the budget {cfg.budget}"
-        )
+def _require(ok: bool, message: str) -> None:
+    """Reject an argument the run would reject, before anything is projected."""
+    if not ok:
+        raise ValueError(message)
 
 
 def cmd_pi(args, cfg):
     spec = _field_from_args(args)
     params = {"k": args.k}
-    if cfg.dry_run:
-        return spec, params, _projection(0, 0), None, 0
-    return spec, params, exact_prime_count(spec.q, args.k), None, 0
+    _require(args.k >= 1, "k must be >= 1")
+    return spec, params, (0, 0), lambda: (exact_prime_count(spec.q, args.k), None, 0)
 
 
 def cmd_pi_type(args, cfg):
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "lambda": str(lam)}
-    if cfg.dry_run:
-        return spec, params, _projection(0, 0), None, 0
-    return spec, params, exact_type_count(spec.q, args.k, lam), None, 0
+    _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
+    return spec, params, (0, 0), lambda: (exact_type_count(spec.q, args.k, lam), None, 0)
 
 
 def cmd_partition_prob(args, cfg):
     lam = parse_partition(args.lam)
     params = {"lambda": str(lam)}
-    if cfg.dry_run:
-        return None, params, _projection(0, 0), None, 0
-    return None, params, verify.frac_str(cycle_type_probability(lam)), None, 0
+    return None, params, (0, 0), lambda: (verify.frac_str(cycle_type_probability(lam)), None, 0)
 
 
 def cmd_totient(args, cfg):
     spec = _field_from_args(args)
     d_poly = parse_poly(args.D, spec)
     params = {"D": pr.poly_text(d_poly)}
-    if cfg.dry_run:
-        return spec, params, _projection(0, 0), None, 0
-    return spec, params, st.poly_totient(d_poly), None, 0
+    _require(not d_poly.is_zero, "totient of the zero polynomial")
+    return spec, params, (0, 0), lambda: (st.poly_totient(d_poly), None, 0)
 
 
 def cmd_interval(args, cfg):
@@ -249,10 +245,7 @@ def cmd_interval(args, cfg):
     params = {"f": pr.poly_text(f), "m": args.m}
     if lam is not None:
         params["lambda"] = str(lam)
-    if cfg.dry_run:
-        return spec, params, _projection(1, interval.size), None, 0
-    _check_budget(cfg, 1, interval.size)
-    return spec, params, _census_result(st.interval_counts(interval), lam), None, 0
+    return spec, params, (1, interval.size), lambda: (_census_result(st.interval_counts(interval), lam), None, 0)
 
 
 def cmd_progression(args, cfg):
@@ -264,35 +257,32 @@ def cmd_progression(args, cfg):
     params = {"D": pr.poly_text(d_poly), "f": pr.poly_text(f), "k": args.k}
     if lam is not None:
         params["lambda"] = str(lam)
-    if cfg.dry_run:
-        return spec, params, _projection(1, prog.size), None, 0
-    _check_budget(cfg, 1, prog.size)
-    return spec, params, _census_result(st.progression_counts(prog), lam), None, 0
+    return spec, params, (1, prog.size), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
 
 
 def cmd_nu(args, cfg):
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     params = {"f": pr.poly_text(f), "m": args.m, "decompose": bool(args.decompose)}
-    k = f.degree if not f.is_zero else 0
+    _require(1 <= args.m < f.degree, f"m = {args.m} out of range 1..{f.degree - 1}")
+    k = st.IntervalSpec(f, args.m).k  # rejects a center that is not monic
     enumeration = spec.q ** (args.m + 1)
-    if args.decompose and isinstance(k, int):
-        from ffstat.combinatorics import divisors
-
-        enumeration += sum(spec.q ** (k // d) for d in divisors(k) if d > 1)
-    if cfg.dry_run:
-        return spec, params, _projection(1, enumeration), None, 0
-    _check_budget(cfg, 1, enumeration)
-    result = {"nu": st.nu(f, args.m)}
     if args.decompose:
-        dec = st.nu_decomposition(f, args.m)
-        result["decomposition"] = {
-            "k_pi": dec.k_pi,
-            "proper_terms": {str(d): v for d, v in sorted(dec.proper_terms.items())},
-            "epsilon": dec.epsilon,
-            "reconstructed": dec.reconstructed,
-        }
-    return spec, params, result, None, 0
+        enumeration += sum(spec.q ** (k // d) for d in divisors(k) if d > 1)
+
+    def run():
+        result = {"nu": st.nu(f, args.m)}
+        if args.decompose:
+            dec = st.nu_decomposition(f, args.m)
+            result["decomposition"] = {
+                "k_pi": dec.k_pi,
+                "proper_terms": {str(d): v for d, v in sorted(dec.proper_terms.items())},
+                "epsilon": dec.epsilon,
+                "reconstructed": dec.reconstructed,
+            }
+        return result, None, 0
+
+    return spec, params, (1, enumeration), run
 
 
 def cmd_radical(args, cfg):
@@ -302,55 +292,63 @@ def cmd_radical(args, cfg):
     params = {"f": pr.poly_text(f), "m": args.m, "d": args.d}
     if args.d <= 1 or interval.k % args.d != 0:
         raise ValueError(f"--d {args.d} must be a divisor of k = {interval.k} greater than 1")
-    enumeration = spec.q ** (interval.k // args.d)
-    if cfg.dry_run:
-        return spec, params, _projection(1, enumeration), None, 0
-    _check_budget(cfg, 1, enumeration)
-    members = st.radical_set(interval, args.d)
-    return spec, params, {"size": len(members), "members": [pr.poly_text(g) for g in members]}, None, 0
+
+    def run():
+        members = st.radical_set(interval, args.d)
+        return {"size": len(members), "members": [pr.poly_text(g) for g in members]}, None, 0
+
+    return spec, params, (1, spec.q ** (interval.k // args.d)), run
 
 
 def cmd_mean_variance(args, cfg):
     spec = _field_from_args(args)
     params = {"k": args.k, "m": args.m}
-    cells = spec.q ** (args.k - args.m - 1) if args.m < args.k else 0
-    if cfg.dry_run:
-        return spec, params, _projection(cells, spec.q**args.k), None, 0
-    mean, var = st.mean_variance_nu(spec, args.k, args.m, cfg.budget)
-    return spec, params, {"mean": verify.frac_str(mean), "variance": verify.frac_str(var)}, None, 0
+    _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
+
+    def run():
+        mean, var = st.mean_variance_nu(spec, args.k, args.m, cfg.budget)
+        return {"mean": verify.frac_str(mean), "variance": verify.frac_str(var)}, None, 0
+
+    return spec, params, (spec.q ** (args.k - args.m - 1), spec.q**args.k), run
 
 
 def cmd_variance_trend(args, cfg):
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
     params = {"k": args.k, "m": args.m, "q_list": q_list}
+    _require(1 <= args.m < args.k - 3, f"m = {args.m} outside the valid range 1 <= m < k - 3 = {args.k - 3}")
+    for q in q_list:
+        gf.make_field(*gf.prime_power(q))
     cells = sum(q ** (args.k - args.m - 1) for q in q_list)
     enumeration = sum(q**args.k for q in q_list)
-    if cfg.dry_run:
-        return None, params, _projection(cells, enumeration), None, 0
-    _check_budget(cfg, cells, enumeration)
-    report = verify.variance_trend(args.k, args.m, q_list, cfg.budget)
-    result = {
-        "limit": report.limit,
-        "per_q": [{"q": q, "ratio": verify.frac_str(ratio)} for q, ratio in report.per_q],
-    }
-    return None, params, result, None, 0
+
+    def run():
+        report = verify.variance_trend(args.k, args.m, q_list, cfg.budget)
+        result = {
+            "limit": report.limit,
+            "per_q": [{"q": q, "ratio": verify.frac_str(ratio)} for q, ratio in report.per_q],
+        }
+        return result, None, 0
+
+    return None, params, (cells, enumeration), run
+
+
+def _scan_result(cfg: RunConfig, report: verify.DeviationReport):
+    result = report if cfg.fmt == "csv" else verify.report_to_dict(report)
+    return result, report.excluded, 0
 
 
 def cmd_scan_intervals(args, cfg):
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
-    cells = spec.q ** (args.k - args.m - 1)
-    if cfg.dry_run:
-        return spec, params, _projection(cells, spec.q**args.k), None, 0
+    _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
+    _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
     opts = verify.ScanOptions(
         budget=cfg.budget,
         per_cell=args.per_cell or cfg.fmt == "csv",
     )
-    report = verify.scan_intervals(spec, args.k, args.m, lam, opts)
-    if cfg.fmt == "csv":
-        return spec, params, report, report.excluded, 0
-    return spec, params, verify.report_to_dict(report), report.excluded, 0
+    projection = (spec.q ** (args.k - args.m - 1), spec.q**args.k)
+    return spec, params, projection, lambda: _scan_result(cfg, verify.scan_intervals(spec, args.k, args.m, lam, opts))
 
 
 def cmd_scan_progressions(args, cfg):
@@ -358,67 +356,55 @@ def cmd_scan_progressions(args, cfg):
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
     if args.max_cells is not None:
-        if args.max_cells < 0:
-            raise ValueError(f"--max-cells {args.max_cells} must be >= 0")
+        _require(args.max_cells >= 0, f"--max-cells {args.max_cells} must be >= 0")
         params["max_cells"] = args.max_cells
     delta = args.k - args.m - 1
+    _require(delta >= 1, f"deg D = k - m - 1 = {delta} must be >= 1")
+    _require(args.m >= 0, "m must be >= 0")
+    _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
     cells = spec.q ** (2 * delta) if args.max_cells is None else min(spec.q ** (2 * delta), args.max_cells)
-    if cfg.dry_run:
-        return spec, params, _projection(cells, cells * spec.q ** (args.m + 1)), None, 0
     opts = verify.ScanOptions(
         budget=cfg.budget,
         per_cell=args.per_cell or cfg.fmt == "csv",
         max_cells=args.max_cells,
     )
-    report = verify.scan_progressions(spec, args.k, args.m, lam, opts)
-    if cfg.fmt == "csv":
-        return spec, params, report, report.excluded, 0
-    return spec, params, verify.report_to_dict(report), report.excluded, 0
+    projection = (cells, cells * spec.q ** (args.m + 1))
+    return spec, params, projection, lambda: _scan_result(
+        cfg, verify.scan_progressions(spec, args.k, args.m, lam, opts)
+    )
 
 
 def cmd_hypotheses(args, cfg):
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     params = {"k": args.k, "m": args.m, "f": pr.poly_text(f)}
-    if cfg.dry_run:
-        return spec, params, _projection(0, 0), None, 0
+    # classifying takes one gcd or derivative and is the check, so a dry run classifies too
     if args.D:
         d_poly = parse_poly(args.D, spec)
         params["D"] = pr.poly_text(d_poly)
         cov = verify.check_hypotheses_progression(spec, args.k, args.m, d_poly, f)
     else:
         cov = verify.check_hypotheses_interval(spec, args.k, args.m, f)
-    return spec, params, {"status": cov.status.value, "detail": cov.detail}, None, 0
+    return spec, params, (0, 0), lambda: ({"status": cov.status.value, "detail": cov.detail}, None, 0)
+
+
+def _counterexample_result(rep: verify.CounterexampleReport):
+    return asdict(rep), None, 1 if rep.agrees is False else 0
 
 
 def cmd_counterexample(args, cfg):
     if args.which == "m0":
         spec = _field_from_args(args)
         params = {"variant": "m0", "k": args.k}
-        if cfg.dry_run:
-            return spec, params, _projection(1, spec.q), None, 0
-        _check_budget(cfg, 1, spec.q)
-        rep = verify.counterexample_m0(spec, args.k)
-    else:
-        if args.p is None:
-            raise ValueError("--p is required for counterexample m1")
-        variant = "p2" if args.variant == "p2" else "p2+1"
-        spec = gf.make_field(args.p, 2 * args.n)
-        params = {"variant": f"m1:{variant}", "p": args.p, "n": args.n}
-        if cfg.dry_run:
-            return spec, params, _projection(1, spec.q**2), None, 0
-        _check_budget(cfg, 1, spec.q**2)
-        rep = verify.counterexample_m1(args.p, args.n, variant, cfg.budget)
-    result = {
-        "kind": rep.kind,
-        "q": rep.q,
-        "k": rep.k,
-        "expected": rep.expected,
-        "actual": rep.actual,
-        "agrees": rep.agrees,
-    }
-    code = 1 if rep.agrees is False else 0
-    return spec, params, result, None, code
+        _require(args.k > 1, "k must be > 1")
+        return spec, params, (1, spec.q), lambda: _counterexample_result(verify.counterexample_m0(spec, args.k))
+    if args.p is None:
+        raise ValueError("--p is required for counterexample m1")
+    spec = gf.make_field(args.p, 2 * args.n)
+    params = {"variant": f"m1:{args.variant}", "p": args.p, "n": args.n}  # argparse allows p2 and p2+1 only
+    return spec, params, (1, spec.q**2), lambda: _counterexample_result(
+        verify.counterexample_m1(args.p, args.n, args.variant, cfg.budget)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +563,13 @@ def run_command(argv) -> int:
 
     start = time.monotonic()
     try:
-        spec, params, result, excluded, code = args.handler(args, cfg)
+        spec, params, (cells, enumeration), run = args.handler(args, cfg)
+        if cfg.dry_run:
+            result, excluded, code = {"projected_cells": cells, "projected_enumeration": enumeration}, None, 0
+        elif enumeration > cfg.budget:
+            raise BudgetError(f"projected enumeration {enumeration} over {cells} cells exceeds the budget {cfg.budget}")
+        else:
+            result, excluded, code = run()
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ffstat: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Counting objects over F_q[t]: censuses, totient, von Mangoldt sums.
 
 Short intervals I(f, m) = f + {polynomials of degree <= m} and residue
-classes {f + D*g} are the two enumeration domains.  Every census over
-one of them lists its members' codes (see `tables`) and takes one of two
-routes, chosen by one rule in `census_tables`: a lookup in the field's
-type tables, or factoring each member with `polyring`.  Tables already
-built are always used; new ones are built only when sieving them costs
-at most TABLE_COST_RATIO codes per member.  The two routes give the same counts and are
-cross-checked in the tests.
+classes {f + D*g} are the two enumeration domains.  Both are
+specializations f + g*h, deg h <= m: the interval is g = 1, a contiguous
+block of codes, and the degree-k members of f mod D are (f + D*t^r) + D*h
+with deg h < r = k - deg D, listed by `tables.member_codes`.  Every
+census lists its members' codes and takes one of two routes, chosen by
+one rule in `census_tables`: a lookup in the field's type tables, or
+factoring each member with `polyring`.  Tables already built are always
+used; new ones are built only when sieving them costs at most
+TABLE_COST_RATIO codes per member.  The two routes give the same counts
+and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -113,9 +116,11 @@ class ProgressionSpec:
         for g in pr.all_monic(self.spec, r):
             yield pr.poly_add(self.f, pr.poly_mul(self.D, g))
 
-    def codes(self) -> list[int]:
-        """Member codes in the order of `members`."""
-        return [pr.monic_code(h) for h in self.members()]
+    def codes(self) -> np.ndarray:
+        """Member codes in the order of `members`: the specialization (f + D*t^r) + D*h, deg h < r."""
+        r = self.k - self.D.degree
+        top = pr.poly_add(self.f, pr.poly_mul(self.D, pr.monomial(self.spec, r)))
+        return tables.member_codes(tables.field_table(self.spec), top.ci, self.D.ci, r - 1)
 
 
 @dataclass
@@ -166,17 +171,17 @@ def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | 
     return tables.poly_tables(spec, k)
 
 
-def _member_values(spec: FieldSpec, k: int, codes: range | list[int], table, of_member):
+def _member_values(spec: FieldSpec, k: int, codes: range | np.ndarray, table, of_member):
     """One integer per member code: `table(pt)[codes]` on the table route, else `of_member` of each member."""
     pt = census_tables(spec, k, len(codes))
-    if pt is None:
-        return [of_member(pr.monic_from_code(spec, k, c)) for c in codes]
+    if pt is None:  # members are built from Python ints, not numpy scalars
+        return [of_member(pr.monic_from_code(spec, k, c)) for c in map(int, codes)]
     if isinstance(codes, range):  # an interval's block of codes, read as a view
         codes = slice(codes.start, codes.stop)
     return table(pt)[codes]
 
 
-def _census(spec: FieldSpec, k: int, codes: range | list[int]) -> TypeCensus:
+def _census(spec: FieldSpec, k: int, codes: range | np.ndarray) -> TypeCensus:
     """Factorization-type census of the monic degree-k polynomials with these codes."""
     parts = partitions_of(k)
     pid = {lam: i for i, lam in enumerate(parts)}
@@ -211,9 +216,7 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         g = pr.poly_mul(g, scale)
     if g.degree == 0:  # f + g*h runs over the whole interval around f
         return _census(spec, k, IntervalSpec(f, m).codes())
-    q = spec.q
-    hs = (pr.poly_from_indices(spec, tables.code_to_coeffs(c, m + 1, q)[:-1]) for c in range(q ** (m + 1)))
-    return _census(spec, k, [pr.monic_code(pr.poly_add(f, pr.poly_mul(g, h))) for h in hs])
+    return _census(spec, k, tables.member_codes(tables.field_table(spec), f.ci, g.ci, m))
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:

@@ -103,6 +103,38 @@ def coeffs_mul(a, b, ft: FieldTable):
     return res
 
 
+def member_codes(ft: FieldTable, f_ci, g_ci, m: int) -> np.ndarray:
+    """Codes of the monic f + g*h for every h of degree <= m, in h-code order.
+
+    `f_ci` and `g_ci` are the index tuples of monic f and of g, with
+    deg g + m < deg f.  The base-p digits of a code are the F_p-coordinates
+    of its coefficients, and h -> f + g*h is F_p-affine in them: h-digit s,
+    coordinate s % nu of h's coefficient s // nu, adds its multiple of the
+    digits of g * t^(s // nu) * (the element of index p^(s % nu)).  Codes
+    are built one digit at a time over all members, so no members x digits
+    matrix is held: about 24 B a member (int64 codes and two digit columns).
+    """
+    q, p, nu = ft.q, ft.spec.p, ft.spec.nu
+    k = len(f_ci) - 1
+    if len(g_ci) + m > k:
+        raise ValueError("need deg g + m < deg f")
+
+    def digits(ci) -> list[int]:
+        code = sum(c * q**i for i, c in enumerate(ci[:k]))
+        return [code // p**t % p for t in range(k * nu)]
+
+    f_digits = digits(f_ci)
+    rows = [digits(coeffs_mul((0,) * (s // nu) + (p ** (s % nu),), g_ci, ft)) for s in range((m + 1) * nu)]
+    codes = np.zeros(q ** (m + 1), dtype=np.int64 if q**k <= 2**63 else object)
+    for t in reversed(range(k * nu)):  # Horner over the code's digits, most significant first
+        col = np.array([f_digits[t]], dtype=np.int64)
+        for row in rows:  # h-digit s becomes the slowest-varying axis so far
+            col = ((np.arange(p) * row[t] % p)[:, None] + col).reshape(-1)
+        codes *= p
+        codes += col % p  # col holds digit sums, reduced once
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # Factorization-type tables
 # ---------------------------------------------------------------------------
@@ -229,55 +261,23 @@ class PolyTables:
 
     # -- block aggregation ----------------------------------------------------
 
-    def block_counts(self, k: int, pid: int, block: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def block_counts(self, k: int, pid: int, block: int) -> np.ndarray:
         """Per-block counts of one partition over contiguous code blocks."""
-        t = self.types[k]
-        n = len(t) // block
-        hi = n if hi is None else hi
-        arr = t[lo * block : hi * block].reshape(-1, block)
-        return (arr == pid).sum(axis=1, dtype=np.int64)
+        return (self.types[k].reshape(-1, block) == pid).sum(axis=1, dtype=np.int64)
 
-    def census_matrix(self, k: int, block: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def census_matrix(self, k: int, block: int) -> np.ndarray:
         """Per-block full censuses: shape (blocks, #partitions)."""
         t = self.types[k]
         n = len(t) // block
-        hi = n if hi is None else hi
         npart = len(self.partitions[k])
-        sl = t[lo * block : hi * block].astype(np.int64)
-        rows = np.repeat(np.arange(hi - lo, dtype=np.int64), block)
-        comb = rows * npart + sl
-        return np.bincount(comb, minlength=(hi - lo) * npart).reshape(hi - lo, npart)
+        rows = np.repeat(np.arange(n, dtype=np.int64), block)
+        comb = rows * npart + t.astype(np.int64)
+        return np.bincount(comb, minlength=n * npart).reshape(n, npart)
 
     def lambda_block_sums(self, k: int, block: int) -> np.ndarray:
         """Per-block sums of the von Mangoldt table."""
         lam = self.lambda_table(k)
         return lam.reshape(-1, block).sum(axis=1, dtype=np.int64)
-
-    # -- progressions ---------------------------------------------------------
-
-    def progression_codes(self, d_coeffs, f_digits, k: int) -> np.ndarray:
-        """Codes of f + D*g for monic g with deg(D*g) = k.
-
-        `d_coeffs` is the full index tuple of monic D, `f_digits` the
-        residue's index digits padded to length deg D.
-        """
-        ft = self.field
-        q = ft.q
-        addT = ft.add
-        delta = len(d_coeffs) - 1
-        r = k - delta
-        out = np.empty(q**r, dtype=np.int64)
-        for gcode in range(q**r):
-            gc = code_to_coeffs(gcode, r, q)
-            h = coeffs_mul(gc, d_coeffs, ft)
-            for i, fd in enumerate(f_digits):
-                if fd:
-                    h[i] = addT[h[i] * q + fd]
-            code = 0
-            for c in reversed(h[:-1]):
-                code = code * q + c
-            out[gcode] = code
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -302,15 +302,17 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     for dcode in range(q**delta):
         d_poly = pr.monic_from_code(spec, delta, dcode)
         phi = st.poly_totient(d_poly)
+        d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
         for fcode in range(q**delta):
-            digits = tables.code_to_coeffs(fcode, delta, q)[:-1]
-            f_poly = pr.poly_from_indices(spec, digits)
+            f_poly = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
                 continue
             if opts.max_cells is not None and agg.cells >= opts.max_cells:
                 truncated = True
                 break
-            count = int((types[pt.progression_codes(d_poly.ci, digits, k)] == pid).sum())
+            # members f + D*g, g monic of degree m + 1, are (f + D*t^(m+1)) + D*h over deg h <= m
+            top = pr.poly_add(f_poly, d_shifted)
+            count = int((types[tables.member_codes(pt.field, top.ci, d_poly.ci, m)] == pid).sum())
             status = _classify_progression(spec, m, d_poly, f_poly).status
             agg.add(count, pi_lam, phi, status)
             if rows is not None:

@@ -5,7 +5,7 @@ Everything here recomputes expected values from first principles
 expansion) so the library paths they check against stay independent.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 from ffstat import gf, polyring as pr, tables
 from ffstat import statistics as st
@@ -37,6 +37,24 @@ def direct_interval_census(interval):
     counts = {}
     for g in interval.members():
         lam = pr.factorization_type(g)
+        counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
+def direct_progression_census(prog):
+    """Type census of a residue class by factoring every member built by polynomial arithmetic."""
+    counts = {}
+    for g in prog.members():
+        lam = pr.factorization_type(g)
+        counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
+def direct_specialization_census(f, g, m):
+    """Type census of f + g*h by factoring it for every coefficient vector of h, deg h <= m."""
+    counts = {}
+    for coeffs in product(range(f.spec.q), repeat=m + 1):
+        lam = pr.factorization_type(pr.poly_add(f, pr.poly_mul(g, pr.poly_from_indices(f.spec, coeffs))))
         counts[lam] = counts.get(lam, 0) + 1
     return counts
 

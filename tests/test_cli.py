@@ -228,6 +228,28 @@ def test_contract_holes_exit_2(capsys):
         ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "1", "--dry-run"],
         ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "3", "--dry-run"],
     ]
+    # a dry run rejects what the run would reject, and never projects a fraction
+    dry_runs = [
+        "scan-intervals --p 3 --k 3 --m 1 --lambda 2",
+        "scan-intervals --p 3 --k 2 --m 5 --lambda 2",
+        "scan-progressions --p 3 --k 4 --m 1 --lambda 3",
+        "scan-progressions --p 3 --k 4 --m 3 --lambda 4",
+        "scan-progressions --p 3 --k 4 --m -1 --lambda 4",
+        "variance-trend --k 5 --m 2 --q-list 2,3",
+        "variance-trend --k 6 --m 1 --q-list 2,6",
+        "mean-variance --p 2 --k 4 --m 4",
+        "mean-variance --p 2 --k -3 --m -5",
+        "pi --p 2 --k 0",
+        "pi-type --p 3 --k 4 --lambda 3",
+        "totient --p 3 --D 0",
+        "nu --p 2 --f 0,0,1 --m 5",
+        "nu --p 3 --f 0,0,2 --m 1 --decompose",
+        "hypotheses --p 5 --k 5 --m 1 --f 0,0,1",
+        "hypotheses --p 5 --k 5 --m 1 --f 0,0,0,0,0,1 --D 0,0,1",
+        "counterexample m0 --p 7 --k 1",
+    ]
+    for line in dry_runs:
+        cases += [line.split(), line.split() + ["--dry-run"]]
     for argv in cases:
         _assert_usage_error(run(capsys, argv))
     # argparse's own errors exit from the parser

@@ -6,7 +6,14 @@ from ffstat import gf, polyring as pr, tables
 from ffstat import statistics as st
 from ffstat.combinatorics import Partition, divisors, exact_prime_count, exact_type_count, partitions_of
 
-from helpers import brute_totient, direct_interval_census, direct_nu, irreducibles
+from helpers import (
+    brute_totient,
+    direct_interval_census,
+    direct_nu,
+    direct_progression_census,
+    direct_specialization_census,
+    irreducibles,
+)
 
 
 def P(spec, *indices):
@@ -69,20 +76,30 @@ def test_specialization_examples(F2):
     assert census.total == 8
 
 
-def test_specialization_general_g(F3):
+def test_specialization_general_g(F3, monkeypatch):
     f = P(F3, 1, 0, 0, 0, 1)  # t^4 + 1
     g = P(F3, 0, 1)  # t, coprime to f
     census = st.specialization_counts(f, g, 1)
     assert census.total == 9
-    # direct re-count
-    direct = {}
-    for a0 in range(3):
-        for a1 in range(3):
-            h = P(F3, a0, a1)
-            s = pr.poly_add(f, pr.poly_mul(g, h))
-            lam = pr.factorization_type(s)
-            direct[lam] = direct.get(lam, 0) + 1
-    assert census.counts == direct
+    assert census.counts == direct_specialization_census(f, g, 1)
+    # every (deg g, m) with deg g >= 1 up to deg f = 5 (4 at q = 4), on both routes, against factoring each f + g*h
+    cases = 0
+    for q, k in [(2, 5), (3, 5), (4, 4)]:
+        spec = gf.make_field(*gf.prime_power(q))
+        pt = tables.poly_tables(spec, k)
+        for dg in range(1, k):
+            for m in range(0, k - dg):
+                f = pr.monic_from_code(spec, k, (7 * dg + 3 * m + 1) % q**k)
+                for gcode in range(1, q ** (dg + 1), max(1, q ** (dg + 1) // 5)):
+                    g = pr.poly_from_indices(spec, tables.code_to_coeffs(gcode, dg + 1, q)[:-1])
+                    if g.degree != dg or pr.poly_gcd(f, g).degree != 0:
+                        continue
+                    expected = direct_specialization_census(f, g, m)
+                    for route in (None, pt):
+                        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, route=route: route)
+                        assert st.specialization_counts(f, g, m).counts == expected, (q, f, g, m)
+                    cases += 1
+    assert cases > 30
 
 
 def test_specialization_nonmonic_scaling(F3):
@@ -100,6 +117,23 @@ def test_specialization_preconditions(F2):
         st.specialization_counts(pr.monomial(F2, 2), pr.one_poly(F2), 2)  # deg f <= deg g + m
     with pytest.raises(ValueError):
         st.specialization_counts(pr.monomial(F2, 2), pr.one_poly(F2), -1)
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
+def test_progression_codes_match_members(q, kmax):
+    # the F_p-digit kernel against Poly arithmetic, for every coprime residue class; nu > 1 at q = 4, 8, 9
+    spec = gf.make_field(*gf.prime_power(q))
+    for k in range(2, kmax + 1):
+        for delta in range(1, k):
+            if q ** (delta + k) > 10**4:
+                continue
+            for dcode in range(q**delta):
+                d_poly = pr.monic_from_code(spec, delta, dcode)
+                for fcode in range(q**delta):
+                    f = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
+                    if pr.poly_gcd(f, d_poly).degree == 0:
+                        prog = st.ProgressionSpec(d_poly, f, k)
+                        assert prog.codes().tolist() == [pr.monic_code(g) for g in prog.members()]
 
 
 @pytest.mark.parametrize("p,nu,kmax", [(2, 1, 4), (3, 1, 3)])
@@ -164,14 +198,6 @@ def test_progression_prime_partition_identity():
 # The census route
 # ---------------------------------------------------------------------------
 
-def _direct_progression_census(prog):
-    counts = {}
-    for g in prog.members():
-        lam = pr.factorization_type(g)
-        counts[lam] = counts.get(lam, 0) + 1
-    return counts
-
-
 def test_census_route_rule(monkeypatch):
     # each census, from an empty table cache, takes the route the rule names, then the table route once warm
     monkeypatch.setattr(tables, "_PT_CACHE", {})
@@ -184,9 +210,9 @@ def test_census_route_rule(monkeypatch):
         (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
          lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), False),  # 363 > 8 * 9
         (F3, 3, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)).counts,
-         lambda: _direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), True),  # 39 <= 8 * 9
+         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), True),  # 39 <= 8 * 9
         (F3, 5, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)).counts,
-         lambda: _direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # 363 > 8 * 27
+         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # 363 > 8 * 27
         (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), True),  # 30 <= 8 * 16
         (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), False),
     ]

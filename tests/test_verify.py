@@ -8,6 +8,8 @@ from ffstat.cli import canonical_json
 from ffstat.combinatorics import Partition, exact_prime_count
 from ffstat.verify import CoverageStatus, ScanOptions
 
+from helpers import direct_progression_census
+
 
 def P(spec, *indices):
     return pr.poly_from_indices(spec, indices)
@@ -212,15 +214,26 @@ def test_scan_progressions_small_m_flagged(F3):
 def test_scan_progressions_covered_and_exact(F3):
     lam = Partition((5,))
     report = verify.scan_progressions(F3, 5, 2, lam, ScanOptions(per_cell=True))
-    # oracle: every cell's count recomputed via progression_counts
+    # oracle: every cell's count recomputed by factoring its members
     for rec in report.per_cell:
         d_text, f_text = rec.label.split(";")
         d_poly = _parse(F3, d_text[2:])
         f_poly = _parse(F3, f_text[2:])
-        census = st.progression_counts(st.ProgressionSpec(d_poly, f_poly, 5))
-        assert census.get(lam) == rec.count
+        census = direct_progression_census(st.ProgressionSpec(d_poly, f_poly, 5))
+        assert census.get(lam, 0) == rec.count
         assert rec.expected == Fraction(exact_prime_count(3, 5), st.poly_totient(d_poly))
     assert report.covered_cells == report.cells
+
+
+def test_scan_progressions_per_cell_vs_direct(F4):
+    # nu = 2: every cell's count against factoring its members
+    lam = Partition((2, 1, 1))
+    report = verify.scan_progressions(F4, 4, 1, lam, ScanOptions(per_cell=True))
+    assert report.cells == 4**4 - 4**3  # the sum of phi(D) over monic D of degree 2
+    for rec in report.per_cell:
+        d_text, f_text = rec.label.split(";")
+        prog = st.ProgressionSpec(_parse(F4, d_text[2:]), _parse(F4, f_text[2:]), 4)
+        assert direct_progression_census(prog).get(lam, 0) == rec.count
 
 
 def _parse(spec, text):

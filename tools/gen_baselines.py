@@ -3,7 +3,7 @@
 
 Writes src/ffstat/baselines/*.json from a fresh enumeration run:
 
-  interval_scan_constants.json  per-(q, k, m) single-worker interval scan
+  interval_scan_constants.json  per-(q, k, m) interval scan
                                 summaries for the full-part type (k)
   variance_trend.json           Var nu(.;1) / q^2 ratios at k = 5 and the
                                 gap to the large-q limit
@@ -39,7 +39,7 @@ def scan_snapshot():
         spec = gf.make_field(*gf.prime_power(q))
         for k in range(2, SCAN_KMAX + 1):
             for m in range(1, k):
-                report = verify.scan_intervals(spec, k, m, Partition((k,)), ScanOptions(workers=1))
+                report = verify.scan_intervals(spec, k, m, Partition((k,)), ScanOptions())
                 d = verify.report_to_dict(report)
                 snapshot[f"q={q},k={k},m={m}"] = {
                     "cells": d["cells"],
