@@ -242,6 +242,7 @@ def cmd_interval(args, cfg):
         raise ValueError(f"--k {args.k} does not match deg f = {f.degree}")
     interval = st.IntervalSpec(f, args.m)
     lam = parse_partition(args.lam) if args.lam else None
+    _require(lam is None or lam.k == interval.k, f"{lam} is not a partition of {interval.k}")
     params = {"f": pr.poly_text(f), "m": args.m}
     if lam is not None:
         params["lambda"] = str(lam)
@@ -254,6 +255,7 @@ def cmd_progression(args, cfg):
     f = parse_poly(args.f, spec)
     prog = st.ProgressionSpec(d_poly, f, args.k)
     lam = parse_partition(args.lam) if args.lam else None
+    _require(lam is None or lam.k == prog.k, f"{lam} is not a partition of {prog.k}")
     params = {"D": pr.poly_text(d_poly), "f": pr.poly_text(f), "k": args.k}
     if lam is not None:
         params["lambda"] = str(lam)

@@ -120,7 +120,8 @@ class ProgressionSpec:
         """Member codes in the order of `members`: the specialization (f + D*t^r) + D*h, deg h < r."""
         r = self.k - self.D.degree
         top = pr.poly_add(self.f, pr.poly_mul(self.D, pr.monomial(self.spec, r)))
-        return tables.member_codes(tables.field_table(self.spec), top.ci, self.D.ci, r - 1)
+        ft = tables.field_table(self.spec)
+        return tables.member_codes(ft, top.ci, tables.multiplier_rows(ft, self.D.ci, r - 1, self.k))
 
 
 @dataclass
@@ -147,10 +148,11 @@ class TypeCensus:
 # ---------------------------------------------------------------------------
 
 # Building type tables sieves every monic code of degree 1..k.  On a 2-core
-# x86 machine with Python 3.11 a code costs 2.6-7.8 us to sieve and a
-# member 120-330 us to factor (q in {2,3,5,7,9}, q^k up to 3^9), so tables
-# break even at 37-74 codes a member.  A smaller ratio keeps the tables,
-# and the memory they take, to queries that clearly repay them.
+# x86 machine with Python 3.11 and numpy 2.4 a code costs 0.14-1.05 us to
+# sieve and a member 120-330 us to factor ((q, k) in (2, 14), (3, 9),
+# (5, 6), (9, 5), (7, 5)), so tables break even at about 310-1100 codes a
+# member.  A far smaller ratio keeps the tables, and the memory they take,
+# to queries that clearly repay them.
 TABLE_COST_RATIO = 8
 
 
@@ -216,7 +218,8 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         g = pr.poly_mul(g, scale)
     if g.degree == 0:  # f + g*h runs over the whole interval around f
         return _census(spec, k, IntervalSpec(f, m).codes())
-    return _census(spec, k, tables.member_codes(tables.field_table(spec), f.ci, g.ci, m))
+    ft = tables.field_table(spec)
+    return _census(spec, k, tables.member_codes(ft, f.ci, tables.multiplier_rows(ft, g.ci, m, k)))
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:

@@ -7,13 +7,25 @@ interval is a contiguous block of codes.
 
 The central structure is a per-field table of factorization types, built
 degree by degree without any gcd machinery: order the monic irreducibles
-globally by (degree, code); every reducible monic polynomial of degree d
-is then the product g * P of its largest irreducible factor P and the
-product g of the remaining factors, and that writing is unique.  Walking
-the (g, P) pairs produces every reducible polynomial exactly once, and
-the codes never produced are the irreducibles of degree d.  This
-construction is independent of the division-based factorization in
-`polyring`; the test suite cross-checks the two.
+globally by (degree, code) and number them in that order, their rank;
+every reducible monic polynomial of degree d is then the product g * P of
+its largest irreducible factor P and the product g of the remaining
+factors, and that writing is unique.  Walking the (g, P) pairs produces
+every reducible polynomial exactly once, and the codes never produced are
+the irreducibles of degree d.  This construction is independent of the
+division-based factorization in `polyring`; the test suite cross-checks
+the two.
+
+The sieve works on numpy arrays.  Per degree d it keeps, per code, the
+type (int16, kept in `types[d]`) and, below the top degree, the rank of
+the largest irreducible factor (int32, dropped after the build).  For
+each factor degree e < d the pairs are the irreducibles P of degree e
+with the codes g of degree d - e whose largest factor ranks at most
+rank(P): a prefix of the g sorted by that rank.  All pairs of one e are
+multiplied at once through the field's add/mul index tables.  At q = 2,
+k = 16 the build peaks at about 21 B per sieved code (tracemalloc, over
+the 2 + 4 + ... + 2^16 codes of degrees 1..16), and the tables it keeps
+take about 3-5 B per code.
 """
 
 from __future__ import annotations
@@ -103,30 +115,66 @@ def coeffs_mul(a, b, ft: FieldTable):
     return res
 
 
-def member_codes(ft: FieldTable, f_ci, g_ci, m: int) -> np.ndarray:
-    """Codes of the monic f + g*h for every h of degree <= m, in h-code order.
+def _product_codes(add: np.ndarray, mul: np.ndarray, q: int, a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
+    """Codes of the products a[i] * b[i] of monic codes of degrees da and db.
 
-    `f_ci` and `g_ci` are the index tuples of monic f and of g, with
-    deg g + m < deg f.  The base-p digits of a code are the F_p-coordinates
-    of its coefficients, and h -> f + g*h is F_p-affine in them: h-digit s,
-    coordinate s % nu of h's coefficient s // nu, adds its multiple of the
-    digits of g * t^(s // nu) * (the element of index p^(s % nu)).  Codes
-    are built one digit at a time over all members, so no members x digits
-    matrix is held: about 24 B a member (int64 codes and two digit columns).
+    `add` and `mul` are the flat field tables as index arrays.  The product's
+    coefficients are convolved one at a time over all pairs, and its code is
+    built by Horner from the top coefficient down.
     """
-    q, p, nu = ft.q, ft.spec.p, ft.spec.nu
-    k = len(f_ci) - 1
+    a_digits = [a // q**i % q for i in range(da)]
+    b_digits = [b // q**j % q for j in range(db)]
+    a_rows = [x * q for x in a_digits]
+    code = np.zeros(len(a), dtype=np.int64)
+    for k in reversed(range(da + db)):
+        coeff = None
+        for i in range(max(0, k - db), min(da, k) + 1):
+            j = k - i  # the leading coefficients a_da = b_db = 1 need no lookup
+            term = b_digits[j] if i == da else a_digits[i] if j == db else mul[a_rows[i] + b_digits[j]]
+            coeff = term if coeff is None else add[coeff * q + term]
+        code *= q
+        code += coeff
+    return code
+
+
+def _code_digits(ft: FieldTable, ci, k: int) -> list[int]:
+    """Base-p digits, least significant first, of the code of the first k coefficients of `ci`."""
+    q, p = ft.q, ft.spec.p
+    code = sum(c * q**i for i, c in enumerate(ci[:k]))
+    return [code // p**t % p for t in range(k * ft.spec.nu)]
+
+
+def multiplier_rows(ft: FieldTable, g_ci, m: int, k: int) -> list[list[int]]:
+    """The F_p-linear map h -> g*h on the base-p digits of degree-k codes, for deg h <= m.
+
+    Needs deg g + m < k.  The base-p digits of a code are the F_p-coordinates
+    of its coefficients; row s is the digits of g * t^(s // nu) * (the element
+    of index p^(s % nu)), the image of h-digit s, coordinate s % nu of h's
+    coefficient s // nu.  The rows depend on g alone, so a caller that lists
+    many f + g*h for one g computes them once.
+    """
+    p, nu = ft.spec.p, ft.spec.nu
     if len(g_ci) + m > k:
         raise ValueError("need deg g + m < deg f")
+    return [_code_digits(ft, coeffs_mul((0,) * (s // nu) + (p ** (s % nu),), g_ci, ft), k) for s in range((m + 1) * nu)]
 
-    def digits(ci) -> list[int]:
-        code = sum(c * q**i for i, c in enumerate(ci[:k]))
-        return [code // p**t % p for t in range(k * nu)]
 
-    f_digits = digits(f_ci)
-    rows = [digits(coeffs_mul((0,) * (s // nu) + (p ** (s % nu),), g_ci, ft)) for s in range((m + 1) * nu)]
-    codes = np.zeros(q ** (m + 1), dtype=np.int64 if q**k <= 2**63 else object)
-    for t in reversed(range(k * nu)):  # Horner over the code's digits, most significant first
+def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
+    """Codes of the monic f + g*h for every h of degree <= m, in h-code order.
+
+    `f_ci` is the index tuple of monic f and `rows` are g's
+    `multiplier_rows` for m and deg f.  h -> f + g*h is F_p-affine on code
+    digits: h-digit s adds its multiple of row s.  Codes are built one digit
+    at a time over all members, so no members x digits matrix is held: about
+    24 B a member (int64 codes and two digit columns).
+    """
+    q, p = ft.q, ft.spec.p
+    k = len(f_ci) - 1
+    if any(len(row) != k * ft.spec.nu for row in rows):
+        raise ValueError("multiplier rows are for another degree than deg f")
+    f_digits = _code_digits(ft, f_ci, k)
+    codes = np.zeros(p ** len(rows), dtype=np.int64 if q**k <= 2**63 else object)
+    for t in reversed(range(len(f_digits))):  # Horner over the code's digits, most significant first
         col = np.array([f_digits[t]], dtype=np.int64)
         for row in rows:  # h-digit s becomes the slowest-varying axis so far
             col = ((np.arange(p) * row[t] % p)[:, None] + col).reshape(-1)
@@ -143,7 +191,8 @@ class PolyTables:
     """Per-field tables of factorization types for every degree up to kmax.
 
     `types[d][code]` is the index (into `partitions_of(d)`) of the
-    factorization type of the monic polynomial with that code.
+    factorization type of the monic polynomial with that code, and
+    `irr_codes[d]` lists the irreducible codes of degree d in increasing order.
     """
 
     def __init__(self, spec: FieldSpec, kmax: int, budget: int = DEFAULT_BUDGET):
@@ -161,64 +210,42 @@ class PolyTables:
         self.types: dict[int, np.ndarray] = {}
         self.irr_codes: dict[int, np.ndarray] = {}
         self._pid: dict[int, dict[tuple[int, ...], int]] = {}
-        self._irr_entries: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self._layers: dict[int, list] = {}
         self._lambda: dict[int, np.ndarray] = {}
-        self._next_rank = 0
+        q = spec.q
+        add = np.array(self.field.add, dtype=np.intp)
+        mul = np.array(self.field.mul, dtype=np.intp)
+        ranks: dict[int, np.ndarray] = {}  # per code, the rank of its largest irreducible factor (d < kmax)
+        first_rank: dict[int, int] = {}  # rank of the smallest irreducible code of each degree
+        next_rank = 0
         for d in range(1, kmax + 1):
-            self._build_degree(d, keep_layer=(d < kmax))
-
-    def _build_degree(self, d: int, keep_layer: bool) -> None:
-        ft = self.field
-        q = ft.q
-        parts_list = partitions_of(d)
-        pid = {p.parts: i for i, p in enumerate(parts_list)}
-        self.partitions[d] = parts_list
-        self._pid[d] = pid
-        tl = [-1] * (q**d)
-        new_layer = []
-        addT = ft.add
-        mulT = ft.mul
-        for e in range(1, d):
-            glayer = self._layers[d - e]
-            for rank_p, pc in self._irr_entries[e]:
-                for gent in glayer:
-                    if gent[0] > rank_p:
-                        break
-                    gc = gent[1]
-                    res = [0] * (d + 1)
-                    for i, ai in enumerate(gc):
-                        if ai:
-                            base = ai * q
-                            for j, bj in enumerate(pc):
-                                if bj:
-                                    k = i + j
-                                    res[k] = addT[res[k] * q + mulT[base + bj]]
-                    code = 0
-                    for c in reversed(res[:-1]):
-                        code = code * q + c
-                    fparts = (e,) + gent[2]
-                    tl[code] = pid[fparts]
-                    if keep_layer:
-                        new_layer.append((rank_p, tuple(res), fparts))
-        # codes never produced as products are the irreducibles of degree d
-        irr_pid = pid[(d,)]
-        irr_codes = []
-        entries = []
-        for code, v in enumerate(tl):
-            if v < 0:
-                tl[code] = irr_pid
-                irr_codes.append(code)
-        for code in irr_codes:
-            entries.append((self._next_rank, code_to_coeffs(code, d, q)))
-            self._next_rank += 1
-        self._irr_entries[d] = entries
-        self.irr_codes[d] = np.array(irr_codes, dtype=np.int64)
-        self.types[d] = np.array(tl, dtype=np.int16)
-        if keep_layer:
-            new_layer.extend((rank, coeffs, (d,)) for rank, coeffs in entries)
-            new_layer.sort(key=lambda ent: ent[0])
-            self._layers[d] = new_layer
+            parts_list = partitions_of(d)
+            pid = {lam.parts: i for i, lam in enumerate(parts_list)}
+            self.partitions[d] = parts_list
+            self._pid[d] = pid
+            types = np.full(q**d, -1, dtype=np.int16)
+            rank = np.empty(q**d, dtype=np.int32) if d < kmax else None
+            for e in range(1, d):
+                # pairs (g, P): P irreducible of degree e, g of degree d - e whose factors all rank <= rank(P)
+                order = np.argsort(ranks[d - e], kind="stable")
+                p_ranks = first_rank[e] + np.arange(len(self.irr_codes[e]), dtype=np.int32)
+                counts = np.searchsorted(ranks[d - e][order], p_ranks, side="right")
+                p_idx = np.repeat(np.arange(len(counts)), counts)
+                g = order[np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)]
+                prod = _product_codes(add, mul, q, g, d - e, self.irr_codes[e][p_idx], e)
+                join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
+                types[prod] = join[self.types[d - e][g]]
+                if rank is not None:
+                    rank[prod] = p_ranks[p_idx]
+            # codes never produced as products are the irreducibles of degree d
+            irr = np.flatnonzero(types < 0)
+            types[irr] = pid[(d,)]
+            self.types[d] = types
+            self.irr_codes[d] = irr.astype(np.int64, copy=False)
+            first_rank[d] = next_rank
+            next_rank += len(irr)
+            if rank is not None:
+                rank[irr] = first_rank[d] + np.arange(len(irr), dtype=np.int32)
+                ranks[d] = rank
 
     # -- lookups ------------------------------------------------------------
 
@@ -251,8 +278,8 @@ class PolyTables:
             if e == 1:
                 lam[self.irr_codes[d]] = d
                 continue
-            for _, coeffs in self._irr_entries[d]:
-                acc = coeffs
+            for code in self.irr_codes[d].tolist():
+                acc = coeffs = code_to_coeffs(code, d, ft.q)
                 for _ in range(e - 1):
                     acc = coeffs_mul(acc, coeffs, ft)
                 lam[coeffs_to_code(acc, ft.q)] = d

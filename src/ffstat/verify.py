@@ -303,6 +303,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
         d_poly = pr.monic_from_code(spec, delta, dcode)
         phi = st.poly_totient(d_poly)
         d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
+        d_rows = tables.multiplier_rows(pt.field, d_poly.ci, m, k)  # h -> D*h, shared by every residue f
         for fcode in range(q**delta):
             f_poly = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
@@ -312,7 +313,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
                 break
             # members f + D*g, g monic of degree m + 1, are (f + D*t^(m+1)) + D*h over deg h <= m
             top = pr.poly_add(f_poly, d_shifted)
-            count = int((types[tables.member_codes(pt.field, top.ci, d_poly.ci, m)] == pid).sum())
+            count = int((types[tables.member_codes(pt.field, top.ci, d_rows)] == pid).sum())
             status = _classify_progression(spec, m, d_poly, f_poly).status
             agg.add(count, pi_lam, phi, status)
             if rows is not None:

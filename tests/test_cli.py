@@ -241,6 +241,8 @@ def test_contract_holes_exit_2(capsys):
         "mean-variance --p 2 --k -3 --m -5",
         "pi --p 2 --k 0",
         "pi-type --p 3 --k 4 --lambda 3",
+        "interval --p 2 --k 2 --m 1 --f 0,0,1 --lambda 3",
+        "progression --p 3 --k 3 --D 0,1 --f 2 --lambda 4",
         "totient --p 3 --D 0",
         "nu --p 2 --f 0,0,1 --m 5",
         "nu --p 3 --f 0,0,2 --m 1 --decompose",
