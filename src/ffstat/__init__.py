@@ -7,25 +7,3 @@ render the normalized deviation constant as a decimal string.
 """
 
 __version__ = "0.1.0"
-
-from ffstat.gf import FieldSpec, FieldElement, make_field
-from ffstat.combinatorics import Partition, partitions_of, cycle_type_probability
-from ffstat.polyring import Poly, Factorization, factor, factorization_type
-from ffstat.statistics import IntervalSpec, ProgressionSpec, TypeCensus
-
-__all__ = [
-    "FieldSpec",
-    "FieldElement",
-    "make_field",
-    "Partition",
-    "partitions_of",
-    "cycle_type_probability",
-    "Poly",
-    "Factorization",
-    "factor",
-    "factorization_type",
-    "IntervalSpec",
-    "ProgressionSpec",
-    "TypeCensus",
-    "__version__",
-]

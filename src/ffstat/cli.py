@@ -27,18 +27,15 @@ from ffstat.combinatorics import (
     exact_prime_count,
     exact_type_count,
 )
-from ffstat.gf import FieldElement, FieldSpec
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldElement, FieldSpec
 from ffstat.polyring import Poly
-from ffstat.tables import DEFAULT_BUDGET, BudgetError
 
 CSV_HEADER = "q,k,m,lambda,cell_id,count,expected_num,expected_den,abs_dev,covered"
 
 
 @dataclass
 class RunConfig:
-    threads: Optional[int]
     budget: int
-    seed: Optional[int]
     output: Optional[str]
     fmt: str
     dry_run: bool
@@ -317,6 +314,7 @@ def cmd_mean_variance(args, cfg):
 def cmd_variance_trend(args, cfg):
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
     params = {"k": args.k, "m": args.m, "q_list": q_list}
+    _require(bool(q_list), f"--q-list {args.q_list!r} names no prime power")
     _require(1 <= args.m < args.k - 3, f"m = {args.m} outside the valid range 1 <= m < k - 3 = {args.k - 3}")
     for q in q_list:
         gf.make_field(*gf.prime_power(q))
@@ -550,15 +548,7 @@ def run_command(argv) -> int:
         print(f"ffstat: --budget {args.budget} must be >= 0", file=sys.stderr)
         return 2
 
-    cfg = RunConfig(
-        threads=args.threads,
-        budget=args.budget,
-        seed=args.seed,
-        output=args.output,
-        fmt=args.fmt,
-        dry_run=args.dry_run,
-        timing=args.timing,
-    )
+    cfg = RunConfig(budget=args.budget, output=args.output, fmt=args.fmt, dry_run=args.dry_run, timing=args.timing)
     if cfg.fmt == "csv" and args.command not in ("scan-intervals", "scan-progressions"):
         print(f"ffstat: csv format is only available for scans, not {args.command!r}", file=sys.stderr)
         return 2

@@ -12,13 +12,27 @@ relative to the modulus.  The text form is `[d0,d1,...]`; prime fields
 render a bare integer.  Elements also have a dense integer index in
 [0, q): the digits read as a base-p integer.  The index representation
 is what the bulk enumeration kernels use.
+
+`FieldTable` holds the flat add/mul/neg/inv/p-th-root tables over
+element indices that every polynomial operation reads; `field_table`
+builds one per field and keeps it.  Both are pure Python, so working in
+F_q[t] needs no numpy.  `DEFAULT_BUDGET` and `BudgetError` bound every
+enumeration; element tables stop at `TABLE_Q_LIMIT` with the same error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 DEFAULT_Q_LIMIT = 1 << 16
+DEFAULT_BUDGET = 1 << 26
+TABLE_Q_LIMIT = 2048
+
+
+class BudgetError(ValueError):
+    """Projected enumeration size exceeds the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -305,6 +319,55 @@ def fe_pow(spec: FieldSpec, a: FieldElement, n: int) -> FieldElement:
 def element_to_text(spec: FieldSpec, a: FieldElement) -> str:
     """`[d0,d1,...]` digits low-to-high; prime fields emit a bare integer."""
     _check(spec, a)
+    return element_texts(spec)[element_index(spec, a)]
+
+
+@lru_cache(maxsize=None)
+def element_texts(spec: FieldSpec) -> tuple[str, ...]:
+    """The text form of every element, in index order (built once per field)."""
+    digits = [str(d) for d in range(spec.p)]
     if spec.nu == 1:
-        return str(a.coeffs[0])
-    return "[" + ",".join(str(d) for d in a.coeffs) + "]"
+        return tuple(digits)
+    # product varies its last place fastest, and the index its lowest digit d0
+    return tuple("[" + ",".join(reversed(ds)) + "]" for ds in product(digits, repeat=spec.nu))
+
+
+# ---------------------------------------------------------------------------
+# Index tables
+# ---------------------------------------------------------------------------
+
+class FieldTable:
+    """Flat add/mul/neg/inv tables over element indices."""
+
+    __slots__ = ("spec", "q", "add", "mul", "neg", "inv", "pth_root")
+
+    def __init__(self, spec: FieldSpec):
+        q = spec.q
+        if q > TABLE_Q_LIMIT:
+            raise BudgetError(f"element tables unsupported for q = {q} > {TABLE_Q_LIMIT}")
+        self.spec = spec
+        self.q = q
+        elems = list(all_elements(spec))
+        add = [0] * (q * q)
+        mul = [0] * (q * q)
+        for i in range(q):
+            for j in range(i, q):
+                s = element_index(spec, fe_add(spec, elems[i], elems[j]))
+                m = element_index(spec, fe_mul(spec, elems[i], elems[j]))
+                add[i * q + j] = add[j * q + i] = s
+                mul[i * q + j] = mul[j * q + i] = m
+        self.add = add
+        self.mul = mul
+        self.neg = [element_index(spec, fe_neg(spec, e)) for e in elems]
+        self.inv = [0] + [element_index(spec, fe_inv(spec, e)) for e in elems[1:]]
+        frob = [element_index(spec, fe_pow(spec, e, spec.p)) for e in elems]
+        pth_root = [0] * q
+        for i, fi in enumerate(frob):
+            pth_root[fi] = i
+        self.pth_root = pth_root
+
+
+@lru_cache(maxsize=None)
+def field_table(spec: FieldSpec) -> FieldTable:
+    """The index tables of this field, built on first use."""
+    return FieldTable(spec)

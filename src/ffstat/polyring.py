@@ -6,6 +6,13 @@ materializes `FieldElement`s on demand.  The zero polynomial has degree
 `NEG_DEGREE`, a marker ordered below every integer, so conditions like
 "deg f' <= 1" hold for a vanishing derivative.
 
+A monic polynomial of degree d has a code: the base-q integer of its d
+lower coefficient indices, the leading 1 left implicit
+(`code_to_coeffs`, `coeffs_to_code`).  The monic polynomials of degree d
+are the codes 0 .. q^d - 1, and a short interval is a block of them.
+All arithmetic runs on index tuples through the field's index tables
+(`gf.field_table`).
+
 Factorization runs squarefree decomposition (with p-th root extraction
 when the derivative vanishes, valid since F_q is perfect), then
 distinct-degree splitting via gcd(f, t^{q^d} - t), then equal-degree
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ffstat import gf, tables
+from ffstat import gf
 from ffstat.combinatorics import Partition
 from ffstat.gf import FieldElement, FieldSpec
 
@@ -106,15 +113,33 @@ def monomial(spec: FieldSpec, n: int) -> Poly:
     return Poly(spec, (0,) * n + (1,))
 
 
+def code_to_coeffs(code: int, d: int, q: int) -> tuple[int, ...]:
+    """Full coefficient index tuple (length d+1, leading 1) of a monic code."""
+    out = []
+    for _ in range(d):
+        out.append(code % q)
+        code //= q
+    out.append(1)
+    return tuple(out)
+
+
+def coeffs_to_code(coeffs, q: int) -> int:
+    """Code of a monic coefficient index tuple (leading coefficient dropped)."""
+    code = 0
+    for c in reversed(coeffs[:-1]):
+        code = code * q + c
+    return code
+
+
 def monic_code(f: Poly) -> int:
     """Base-q integer of the lower deg(f) coefficients (requires monic input)."""
     if not f.is_monic:
         raise ValueError("monic polynomial required")
-    return tables.coeffs_to_code(f.ci, f.spec.q)
+    return coeffs_to_code(f.ci, f.spec.q)
 
 
 def monic_from_code(spec: FieldSpec, d: int, code: int) -> Poly:
-    return Poly(spec, tables.code_to_coeffs(code, d, spec.q))
+    return Poly(spec, code_to_coeffs(code, d, spec.q))
 
 
 def all_monic(spec: FieldSpec, d: int):
@@ -125,19 +150,13 @@ def all_monic(spec: FieldSpec, d: int):
 
 def poly_text(f: Poly) -> str:
     """Comma-separated coefficients low-to-high in field-element text form."""
-    spec = f.spec
-    if f.is_zero:
-        return gf.element_to_text(spec, gf.zero(spec))
-    return ",".join(gf.element_to_text(spec, gf.element_from_index(spec, i)) for i in f.ci)
+    texts = gf.element_texts(f.spec)
+    return ",".join(texts[i] for i in f.ci) if f.ci else texts[0]
 
 
 # ---------------------------------------------------------------------------
-# Index-tuple kernels (private)
+# Index-tuple kernels
 # ---------------------------------------------------------------------------
-
-def _ft(spec: FieldSpec) -> tables.FieldTable:
-    return tables.field_table(spec)
-
 
 def _add_idx(ft, a, b):
     q = ft.q
@@ -161,10 +180,22 @@ def _sub_idx(ft, a, b):
     return _add_idx(ft, a, _neg_idx(ft, b))
 
 
-def _mul_idx(ft, a, b):
+def mul_idx(ft: gf.FieldTable, a, b) -> tuple[int, ...]:
+    """Product of two trimmed coefficient index tuples, convolved through the field tables."""
     if not a or not b:
         return ()
-    return tuple(tables.coeffs_mul(a, b, ft))
+    q = ft.q
+    addT = ft.add
+    mulT = ft.mul
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            base = ai * q
+            for j, bj in enumerate(b):
+                if bj:
+                    k = i + j
+                    res[k] = addT[res[k] * q + mulT[base + bj]]
+    return tuple(res)
 
 
 def _scale_idx(ft, a, s):
@@ -224,7 +255,7 @@ def _gcd_idx(ft, a, b):
 
 
 def _mulmod_idx(ft, a, b, mod):
-    return _mod_idx(ft, _mul_idx(ft, a, b), mod)
+    return _mod_idx(ft, mul_idx(ft, a, b), mod)
 
 
 def _powmod_idx(ft, base, n, mod):
@@ -265,34 +296,34 @@ def _same_spec(a: Poly, b: Poly) -> FieldSpec:
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     spec = _same_spec(a, b)
-    return Poly(spec, _add_idx(_ft(spec), a.ci, b.ci))
+    return Poly(spec, _add_idx(gf.field_table(spec), a.ci, b.ci))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     spec = _same_spec(a, b)
-    return Poly(spec, _mul_idx(_ft(spec), a.ci, b.ci))
+    return Poly(spec, mul_idx(gf.field_table(spec), a.ci, b.ci))
 
 
 def poly_pow(a: Poly, n: int) -> Poly:
     if n < 0:
         raise ValueError("negative exponent")
     spec = a.spec
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     result = (1,)
     base = a.ci
     while n:
         if n & 1:
-            result = _mul_idx(ft, result, base)
+            result = mul_idx(ft, result, base)
         n >>= 1
         if n:
-            base = _mul_idx(ft, base, base)
+            base = mul_idx(ft, base, base)
     return Poly(spec, result)
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Exact division with remainder: a = q*b + r, deg r < deg b."""
     spec = _same_spec(a, b)
-    q, r = _divrem_idx(_ft(spec), a.ci, b.ci)
+    q, r = _divrem_idx(gf.field_table(spec), a.ci, b.ci)
     return Poly(spec, q), Poly(spec, r)
 
 
@@ -301,13 +332,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     spec = _same_spec(a, b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return Poly(spec, _gcd_idx(_ft(spec), a.ci, b.ci))
+    return Poly(spec, _gcd_idx(gf.field_table(spec), a.ci, b.ci))
 
 
 def poly_eval(f: Poly, x: FieldElement) -> FieldElement:
     """Horner evaluation."""
     spec = f.spec
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     q = ft.q
     addT, mulT = ft.add, ft.mul
     xi = gf.element_index(spec, x)
@@ -318,7 +349,7 @@ def poly_eval(f: Poly, x: FieldElement) -> FieldElement:
 
 
 def derivative(f: Poly) -> Poly:
-    return Poly(f.spec, _derivative_idx(_ft(f.spec), f.spec, f.ci))
+    return Poly(f.spec, _derivative_idx(gf.field_table(f.spec), f.spec, f.ci))
 
 
 def hasse_derivatives(f: Poly) -> tuple[Poly, Poly]:
@@ -329,7 +360,7 @@ def hasse_derivatives(f: Poly) -> tuple[Poly, Poly]:
     characteristic the second one equals half the second derivative.
     """
     spec = f.spec
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     q = ft.q
     mulT = ft.mul
     p = spec.p
@@ -349,17 +380,17 @@ def rational_derivative_is_constant(f: Poly, d: Poly) -> bool:
     spec = _same_spec(f, d)
     if d.is_zero:
         raise ValueError("denominator must be nonzero")
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     if len(_gcd_idx(ft, f.ci, d.ci)) > 1:
         raise ValueError("f and D must be coprime")
     num = _sub_idx(
         ft,
-        _mul_idx(ft, _derivative_idx(ft, spec, f.ci), d.ci),
-        _mul_idx(ft, f.ci, _derivative_idx(ft, spec, d.ci)),
+        mul_idx(ft, _derivative_idx(ft, spec, f.ci), d.ci),
+        mul_idx(ft, f.ci, _derivative_idx(ft, spec, d.ci)),
     )
     if not num:
         return True
-    d2 = _mul_idx(ft, d.ci, d.ci)
+    d2 = mul_idx(ft, d.ci, d.ci)
     quot, rem = _divrem_idx(ft, num, d2)
     return not rem and len(quot) == 1
 
@@ -377,11 +408,11 @@ class Factorization:
 
     def expand_over(self, spec: FieldSpec) -> Poly:
         """Multiply the factorization back out over the given field."""
-        ft = _ft(spec)
+        ft = gf.field_table(spec)
         acc = (gf.element_index(spec, self.unit),)
         for poly, mult in self.factors:
             for _ in range(mult):
-                acc = _mul_idx(ft, acc, poly.ci)
+                acc = mul_idx(ft, acc, poly.ci)
         return Poly(spec, acc)
 
 
@@ -504,7 +535,7 @@ def factor(f: Poly) -> Factorization:
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     spec = f.spec
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     unit = f.leading()
     m = _monic_idx(ft, f.ci)
     found = []
@@ -512,7 +543,7 @@ def factor(f: Poly) -> Factorization:
         for piece, d in _distinct_degree_idx(ft, spec, sf):
             for prime in _equal_degree_idx(ft, spec, piece, d):
                 found.append((prime, mult))
-    found.sort(key=lambda pm: (len(pm[0]), tables.coeffs_to_code(pm[0], spec.q)))
+    found.sort(key=lambda pm: (len(pm[0]), coeffs_to_code(pm[0], spec.q)))
     return Factorization(unit, tuple((Poly(spec, ci), e) for ci, e in found))
 
 
@@ -533,7 +564,7 @@ def is_irreducible(f: Poly) -> bool:
     if f.is_zero or len(f.ci) == 1:
         raise ValueError("irreducibility needs degree >= 1")
     spec = f.spec
-    ft = _ft(spec)
+    ft = gf.field_table(spec)
     n = len(f.ci) - 1
     if n == 1:
         return True

@@ -10,21 +10,27 @@ one rule in `census_tables`: a lookup in the field's type tables, or
 factoring each member with `polyring`.  Tables already built are always
 used; new ones are built only when sieving them costs at most
 TABLE_COST_RATIO codes per member.  The two routes give the same counts
-and are cross-checked in the tests.
+and are cross-checked in the tests.  `tables`, and with it numpy, is
+imported inside the functions that build or read tables, so totients,
+radical sets and the nu decomposition never load it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ffstat import gf, polyring as pr, tables
+from ffstat import gf, polyring as pr
 from ffstat.combinatorics import Partition, divisors, partitions_of
-from ffstat.gf import FieldSpec
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
-from ffstat.tables import DEFAULT_BUDGET, BudgetError
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from ffstat import tables
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,11 @@ class ProgressionSpec:
 
     def codes(self) -> np.ndarray:
         """Member codes in the order of `members`: the specialization (f + D*t^r) + D*h, deg h < r."""
+        from ffstat import tables
+
         r = self.k - self.D.degree
         top = pr.poly_add(self.f, pr.poly_mul(self.D, pr.monomial(self.spec, r)))
-        ft = tables.field_table(self.spec)
+        ft = gf.field_table(self.spec)
         return tables.member_codes(ft, top.ci, tables.multiplier_rows(ft, self.D.ci, r - 1, self.k))
 
 
@@ -164,6 +172,8 @@ def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | 
     are built only when they fit the enumeration budget and sieving every
     code of degree 1..k costs at most TABLE_COST_RATIO codes per member.
     """
+    from ffstat import tables
+
     pt = tables.cached_poly_tables(spec, k)
     if pt is not None:
         return pt
@@ -173,22 +183,25 @@ def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | 
     return tables.poly_tables(spec, k)
 
 
-def _member_values(spec: FieldSpec, k: int, codes: range | np.ndarray, table, of_member):
-    """One integer per member code: `table(pt)[codes]` on the table route, else `of_member` of each member."""
+def _route(spec: FieldSpec, k: int, codes: range | np.ndarray):
+    """(tables, index of the codes in their degree-k arrays), or (None, the members) when each is factored."""
     pt = census_tables(spec, k, len(codes))
     if pt is None:  # members are built from Python ints, not numpy scalars
-        return [of_member(pr.monic_from_code(spec, k, c)) for c in map(int, codes)]
+        return None, (pr.monic_from_code(spec, k, c) for c in map(int, codes))
     if isinstance(codes, range):  # an interval's block of codes, read as a view
-        codes = slice(codes.start, codes.stop)
-    return table(pt)[codes]
+        return pt, slice(codes.start, codes.stop)
+    return pt, codes
 
 
 def _census(spec: FieldSpec, k: int, codes: range | np.ndarray) -> TypeCensus:
     """Factorization-type census of the monic degree-k polynomials with these codes."""
     parts = partitions_of(k)
-    pid = {lam: i for i, lam in enumerate(parts)}
-    ids = _member_values(spec, k, codes, lambda pt: pt.types[k], lambda g: pid[pr.factorization_type(g)])
-    counts = np.bincount(ids, minlength=len(parts)).tolist()
+    pt, index = _route(spec, k, codes)
+    if pt is None:
+        found = Counter(map(pr.factorization_type, index))
+        counts = [found[lam] for lam in parts]
+    else:
+        counts = pt.degree_census(k, index).tolist()
     return TypeCensus(k, {lam: n for lam, n in zip(parts, counts) if n})
 
 
@@ -218,7 +231,9 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         g = pr.poly_mul(g, scale)
     if g.degree == 0:  # f + g*h runs over the whole interval around f
         return _census(spec, k, IntervalSpec(f, m).codes())
-    ft = tables.field_table(spec)
+    from ffstat import tables
+
+    ft = gf.field_table(spec)
     return _census(spec, k, tables.member_codes(ft, f.ci, tables.multiplier_rows(ft, g.ci, m, k)))
 
 
@@ -266,9 +281,10 @@ def nu(f: Poly, m: int) -> int:
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     codes = IntervalSpec(f, m).codes()
-    values = _member_values(f.spec, k, codes, lambda pt: pt.lambda_table(k), von_mangoldt)
+    pt, index = _route(f.spec, k, codes)
+    total = sum(map(von_mangoldt, index)) if pt is None else int(pt.lambda_table(k)[index].sum())
     # the only prime power with zero constant term is t^k (code 0, Lambda = 1)
-    return int(np.sum(values)) - (codes[0] == 0)
+    return total - (codes[0] == 0)
 
 
 def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:
@@ -282,6 +298,8 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     if spec.q**k > budget:
         raise BudgetError(f"q^k = {spec.q**k} exceeds the enumeration budget {budget}")
+    from ffstat import tables
+
     pt = tables.poly_tables(spec, k, budget)
     block = spec.q ** (m + 1)
     sums = pt.lambda_block_sums(k, block).tolist()

@@ -1,9 +1,10 @@
-"""Dense enumeration kernels over monic polynomials.
+"""Dense enumeration kernels over monic polynomials: the numpy layer.
 
-A monic polynomial of degree d is coded by the base-q integer of its d
-lower coefficient indices (the leading 1 is implicit), so the monic
-polynomials of degree d are exactly the codes 0 .. q^d - 1 and a short
-interval is a contiguous block of codes.
+This is the one module that imports numpy.  It works on arrays of monic
+codes (`polyring.code_to_coeffs`): the codes of degree d are 0 .. q^d - 1
+and a short interval is a contiguous block of them.  `statistics` and
+`verify` import it inside the functions that build or read tables, so a
+query that needs none never loads numpy.
 
 The central structure is a per-field table of factorization types, built
 degree by degree without any gcd machinery: order the monic irreducibles
@@ -12,9 +13,9 @@ every reducible monic polynomial of degree d is then the product g * P of
 its largest irreducible factor P and the product g of the remaining
 factors, and that writing is unique.  Walking the (g, P) pairs produces
 every reducible polynomial exactly once, and the codes never produced are
-the irreducibles of degree d.  This construction is independent of the
-division-based factorization in `polyring`; the test suite cross-checks
-the two.
+the irreducibles of degree d.  This construction takes only products
+from `polyring` and is independent of its division-based factorization;
+the test suite cross-checks the two.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
 type (int16, kept in `types[d]`) and, below the top degree, the rank of
@@ -30,90 +31,16 @@ take about 3-5 B per code.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from ffstat import gf
+from ffstat import gf, polyring as pr
 from ffstat.combinatorics import Partition, divisors, partitions_of
-from ffstat.gf import FieldSpec
-
-DEFAULT_BUDGET = 1 << 26
-TABLE_Q_LIMIT = 2048
-
-
-class BudgetError(ValueError):
-    """Projected enumeration size exceeds the configured budget."""
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec, FieldTable
 
 
 # ---------------------------------------------------------------------------
-# Field element tables (index arithmetic)
+# Code kernels
 # ---------------------------------------------------------------------------
-
-class FieldTable:
-    """Flat add/mul/neg/inv tables over element indices."""
-
-    __slots__ = ("spec", "q", "add", "mul", "neg", "inv", "pth_root")
-
-    def __init__(self, spec: FieldSpec):
-        q = spec.q
-        if q > TABLE_Q_LIMIT:
-            raise BudgetError(f"element tables unsupported for q = {q} > {TABLE_Q_LIMIT}")
-        self.spec = spec
-        self.q = q
-        elems = [gf.element_from_index(spec, i) for i in range(q)]
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for i in range(q):
-            for j in range(i, q):
-                s = gf.element_index(spec, gf.fe_add(spec, elems[i], elems[j]))
-                m = gf.element_index(spec, gf.fe_mul(spec, elems[i], elems[j]))
-                add[i * q + j] = add[j * q + i] = s
-                mul[i * q + j] = mul[j * q + i] = m
-        self.add = add
-        self.mul = mul
-        self.neg = [gf.element_index(spec, gf.fe_neg(spec, e)) for e in elems]
-        self.inv = [0] + [gf.element_index(spec, gf.fe_inv(spec, e)) for e in elems[1:]]
-        frob = [gf.element_index(spec, gf.fe_pow(spec, e, spec.p)) for e in elems]
-        pth_root = [0] * q
-        for i, fi in enumerate(frob):
-            pth_root[fi] = i
-        self.pth_root = pth_root
-
-
-def code_to_coeffs(code: int, d: int, q: int) -> tuple[int, ...]:
-    """Full coefficient index tuple (length d+1, leading 1) of a monic code."""
-    out = []
-    for _ in range(d):
-        out.append(code % q)
-        code //= q
-    out.append(1)
-    return tuple(out)
-
-
-def coeffs_to_code(coeffs, q: int) -> int:
-    """Code of a monic coefficient index tuple (leading coefficient dropped)."""
-    code = 0
-    for c in reversed(coeffs[:-1]):
-        code = code * q + c
-    return code
-
-
-def coeffs_mul(a, b, ft: FieldTable):
-    """Convolution of coefficient index tuples via the field tables."""
-    q = ft.q
-    addT = ft.add
-    mulT = ft.mul
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            base = ai * q
-            for j, bj in enumerate(b):
-                if bj:
-                    k = i + j
-                    res[k] = addT[res[k] * q + mulT[base + bj]]
-    return res
-
 
 def _product_codes(add: np.ndarray, mul: np.ndarray, q: int, a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
     """Codes of the products a[i] * b[i] of monic codes of degrees da and db.
@@ -156,7 +83,7 @@ def multiplier_rows(ft: FieldTable, g_ci, m: int, k: int) -> list[list[int]]:
     p, nu = ft.spec.p, ft.spec.nu
     if len(g_ci) + m > k:
         raise ValueError("need deg g + m < deg f")
-    return [_code_digits(ft, coeffs_mul((0,) * (s // nu) + (p ** (s % nu),), g_ci, ft), k) for s in range((m + 1) * nu)]
+    return [_code_digits(ft, pr.mul_idx(ft, (0,) * (s // nu) + (p ** (s % nu),), g_ci), k) for s in range((m + 1) * nu)]
 
 
 def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
@@ -204,7 +131,7 @@ class PolyTables:
                 f"exceed the enumeration budget {budget}"
             )
         self.spec = spec
-        self.field = field_table(spec)
+        self.field = gf.field_table(spec)
         self.kmax = kmax
         self.partitions: dict[int, list[Partition]] = {}
         self.types: dict[int, np.ndarray] = {}
@@ -255,9 +182,9 @@ class PolyTables:
     def type_of_code(self, d: int, code: int) -> Partition:
         return self.partitions[d][int(self.types[d][code])]
 
-    def degree_census(self, d: int) -> np.ndarray:
-        """Counts per partition index over all monic polynomials of degree d."""
-        return np.bincount(self.types[d], minlength=len(self.partitions[d]))
+    def degree_census(self, d: int, codes=slice(None)) -> np.ndarray:
+        """Counts per partition index over the monic polynomials of degree d with these codes (default all)."""
+        return np.bincount(self.types[d][codes], minlength=len(self.partitions[d]))
 
     # -- von Mangoldt -------------------------------------------------------
 
@@ -279,10 +206,10 @@ class PolyTables:
                 lam[self.irr_codes[d]] = d
                 continue
             for code in self.irr_codes[d].tolist():
-                acc = coeffs = code_to_coeffs(code, d, ft.q)
+                acc = coeffs = pr.code_to_coeffs(code, d, ft.q)
                 for _ in range(e - 1):
-                    acc = coeffs_mul(acc, coeffs, ft)
-                lam[coeffs_to_code(acc, ft.q)] = d
+                    acc = pr.mul_idx(ft, acc, coeffs)
+                lam[pr.coeffs_to_code(acc, ft.q)] = d
         self._lambda[k] = lam
         return lam
 
@@ -308,35 +235,17 @@ class PolyTables:
 
 
 # ---------------------------------------------------------------------------
-# Caches
+# Cache
 # ---------------------------------------------------------------------------
 
-_FT_CACHE: dict[FieldSpec, FieldTable] = {}
 _PT_CACHE: dict[FieldSpec, PolyTables] = {}
-_LOCK = threading.RLock()  # reentrant: building poly tables fetches field tables
-
-
-def field_table(spec: FieldSpec) -> FieldTable:
-    ft = _FT_CACHE.get(spec)
-    if ft is None:
-        with _LOCK:
-            ft = _FT_CACHE.get(spec)
-            if ft is None:
-                ft = FieldTable(spec)
-                _FT_CACHE[spec] = ft
-    return ft
 
 
 def poly_tables(spec: FieldSpec, kmax: int, budget: int = DEFAULT_BUDGET) -> PolyTables:
     """Build (or reuse) type tables covering degrees 1..kmax for this field."""
     pt = _PT_CACHE.get(spec)
-    if pt is not None and pt.kmax >= kmax:
-        return pt
-    with _LOCK:
-        pt = _PT_CACHE.get(spec)
-        if pt is None or pt.kmax < kmax:
-            pt = PolyTables(spec, kmax, budget)
-            _PT_CACHE[spec] = pt
+    if pt is None or pt.kmax < kmax:
+        pt = _PT_CACHE[spec] = PolyTables(spec, kmax, budget)
     return pt
 
 

@@ -8,7 +8,9 @@ a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
 Scans run in one thread and visit cells in order, so reports are
-deterministic; `ScanOptions.workers` is accepted and ignored.
+deterministic; `ScanOptions.workers` is accepted and ignored.  The scans
+import `tables`, and with it numpy, in their bodies, so the hypothesis
+checks and the counterexamples never load it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from ffstat import gf, polyring as pr, tables
+from ffstat import gf, polyring as pr
 from ffstat import statistics as st
 from ffstat.combinatorics import Partition, cycle_type_probability, exact_type_count
-from ffstat.gf import FieldSpec
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
-from ffstat.tables import DEFAULT_BUDGET, BudgetError
 
 
 class CoverageStatus(str, Enum):
@@ -249,6 +250,8 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             f"projected enumeration of {q}^{k} = {q**k} polynomials "
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
         )
+    from ffstat import tables
+
     pt = tables.poly_tables(spec, k, opts.budget)
     block = q ** (m + 1)
     expected = cycle_type_probability(lam) * block
@@ -292,6 +295,8 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
             f"projected enumeration of {projected_cells} cells x {block} members "
             f"exceeds the budget {opts.budget}"
         )
+    from ffstat import tables
+
     pt = tables.poly_tables(spec, k, opts.budget)
     pid = pt.pid_of(lam)
     pi_lam = exact_type_count(q, k, lam)
@@ -305,7 +310,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
         d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
         d_rows = tables.multiplier_rows(pt.field, d_poly.ci, m, k)  # h -> D*h, shared by every residue f
         for fcode in range(q**delta):
-            f_poly = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
+            f_poly = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
                 continue
             if opts.max_cells is not None and agg.cells >= opts.max_cells:

@@ -7,7 +7,7 @@ expansion) so the library paths they check against stay independent.
 
 from itertools import permutations, product
 
-from ffstat import gf, polyring as pr, tables
+from ffstat import gf, polyring as pr
 from ffstat import statistics as st
 
 
@@ -75,7 +75,7 @@ def expand_at_shift(f):
     coefficients arise from repeated addition in the field rather than
     from any derivative formula.
     """
-    ft = tables.field_table(f.spec)
+    ft = gf.field_table(f.spec)
     q = ft.q
     add = ft.add
     acc = {}

@@ -228,6 +228,9 @@ def test_contract_holes_exit_2(capsys):
         ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "1", "--dry-run"],
         ["radical", "--p", "2", "--f", "0,0,0,0,1", "--m", "1", "--d", "3", "--dry-run"],
     ]
+    for q_list in ("", ",,"):
+        argv = ["variance-trend", "--k", "5", "--m", "1", "--q-list", q_list]
+        cases += [argv, argv + ["--dry-run"]]
     # a dry run rejects what the run would reject, and never projects a fraction
     dry_runs = [
         "scan-intervals --p 3 --k 3 --m 1 --lambda 2",

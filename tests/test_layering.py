@@ -1,0 +1,86 @@
+"""The module graph runs one way, and numpy loads only where type tables are built or read."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a module may import, at module level, only modules of an earlier or the same rank;
+# the package's __init__ ranks below them all, so it imports none
+ORDER = {"gf": 0, "combinatorics": 0, "polyring": 1, "tables": 2, "statistics": 3, "verify": 4, "cli": 5}
+
+
+def _module_level_imports(tree):
+    """Import statements that run when the module is imported (`if TYPE_CHECKING:` blocks excluded)."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+            todo += node.body + node.orelse
+        elif isinstance(node, ast.Try):
+            todo += node.body + node.orelse + node.finalbody + [s for h in node.handlers for s in h.body]
+
+
+def _imported_modules(node):
+    """Top-level package names and ffstat submodules an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.module == "ffstat":  # from ffstat import gf, polyring as pr
+        return [f"ffstat.{alias.name}" for alias in node.names]
+    return [node.module]
+
+
+def test_module_level_imports_follow_the_layer_order():
+    assert sorted(ORDER) == sorted(p.stem for p in (SRC / "ffstat").glob("*.py") if p.stem != "__init__")
+    for path in sorted((SRC / "ffstat").glob("*.py")):
+        name = path.stem
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in _imported_modules(node):
+                top, _, sub = target.partition(".")
+                if top == "numpy":
+                    assert name == "tables", f"{name} imports numpy at module level"
+                dep = sub.split(".")[0]
+                if top == "ffstat" and dep in ORDER:
+                    assert dep != name and ORDER[dep] <= ORDER.get(name, -1), f"{name} imports the later module {dep}"
+
+
+PROBE = """
+import contextlib, io, json, sys
+from ffstat import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append([argv[0], code, "numpy" in sys.modules, "ffstat.tables" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_light_commands_do_not_load_numpy():
+    light = [
+        "pi --p 2 --k 3",
+        "pi-type --p 3 --k 4 --lambda 2+1+1",
+        "partition-prob --lambda 2+2",
+        "totient --p 3 --D 0,0,1",
+        "radical --p 2 --f 0,0,0,0,1 --m 1 --d 2",
+        "hypotheses --p 5 --k 5 --m 1 --f 0,0,0,0,0,1",
+        "hypotheses --p 3 --k 4 --m 2 --f 1 --D 0,1",
+        "counterexample m0 --p 7 --k 3",
+        "counterexample m1 --p 2 --n 1",
+    ]
+    control = "interval --p 2 --k 2 --m 1 --f 0,0,1"  # a census: it reads type tables
+    argvs = [line.split() for line in light + [control]]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+    )
+    rows = json.loads(proc.stdout)
+    assert [code for _, code, _, _ in rows] == [0] * len(argvs)
+    assert [row[2:] for row in rows[:-1]] == [[False, False]] * len(light), rows
+    assert rows[-1][2:] == [True, True]

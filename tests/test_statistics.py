@@ -91,7 +91,7 @@ def test_specialization_general_g(F3, monkeypatch):
             for m in range(0, k - dg):
                 f = pr.monic_from_code(spec, k, (7 * dg + 3 * m + 1) % q**k)
                 for gcode in range(1, q ** (dg + 1), max(1, q ** (dg + 1) // 5)):
-                    g = pr.poly_from_indices(spec, tables.code_to_coeffs(gcode, dg + 1, q)[:-1])
+                    g = pr.poly_from_indices(spec, pr.code_to_coeffs(gcode, dg + 1, q)[:-1])
                     if g.degree != dg or pr.poly_gcd(f, g).degree != 0:
                         continue
                     expected = direct_specialization_census(f, g, m)
@@ -130,7 +130,7 @@ def test_progression_codes_match_members(q, kmax):
             for dcode in range(q**delta):
                 d_poly = pr.monic_from_code(spec, delta, dcode)
                 for fcode in range(q**delta):
-                    f = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
+                    f = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
                     if pr.poly_gcd(f, d_poly).degree == 0:
                         prog = st.ProgressionSpec(d_poly, f, k)
                         assert prog.codes().tolist() == [pr.monic_code(g) for g in prog.members()]
@@ -263,7 +263,7 @@ def test_census_routes_agree(q, kmax, monkeypatch):
                 for dcode in range(q**delta):
                     d_poly = pr.monic_from_code(spec, delta, dcode)
                     for fcode in range(q**delta):
-                        f = pr.poly_from_indices(spec, tables.code_to_coeffs(fcode, delta, q)[:-1])
+                        f = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
                         if pr.poly_gcd(f, d_poly).degree == 0:
                             out.append(st.progression_counts(st.ProgressionSpec(d_poly, f, k)).counts)
     assert results[True] == results[False]

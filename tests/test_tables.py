@@ -47,7 +47,7 @@ def test_lambda_table_sums_to_q_power(p, nu, kmax):
 
 def test_sieve_memory_per_code(F2):
     kmax = 16
-    tables.field_table(F2)
+    gf.field_table(F2)
     tables.PolyTables(F2, 2)  # imports and caches that a first build fills are not the sieve's
     codes = sum(2**d for d in range(1, kmax + 1))
     tracemalloc.start()
@@ -60,7 +60,7 @@ def test_sieve_memory_per_code(F2):
 
 
 def test_member_codes_checks_degrees(F3):
-    ft = tables.field_table(F3)
+    ft = gf.field_table(F3)
     with pytest.raises(ValueError):
         tables.multiplier_rows(ft, (1, 1), 2, 3)  # deg g + m = 3 is not below 3
     rows = tables.multiplier_rows(ft, (1, 1), 1, 3)
