@@ -191,10 +191,6 @@ def element(spec: FieldSpec, digits) -> FieldElement:
     return FieldElement(tuple(ds))
 
 
-def zero(spec: FieldSpec) -> FieldElement:
-    return FieldElement((0,) * spec.nu)
-
-
 def one(spec: FieldSpec) -> FieldElement:
     return FieldElement((1,) + (0,) * (spec.nu - 1))
 

@@ -4,19 +4,21 @@ Short intervals I(f, m) = f + {polynomials of degree <= m} and residue
 classes {f + D*g} are the two enumeration domains.  Both are
 specializations f + g*h, deg h <= m: the interval is g = 1, a contiguous
 block of codes, and the degree-k members of f mod D are (f + D*t^r) + D*h
-with deg h < r = k - deg D, listed by `tables.member_codes`.  Every
-census lists its members' codes and takes one of two routes, chosen by
-one rule in `census_tables`: a lookup in the field's type tables, or
-factoring each member with `polyring`.  Tables already built are always
-used; new ones are built only when sieving them costs at most
-TABLE_COST_RATIO codes per member.  The two routes give the same counts
-and are cross-checked in the tests.  `tables`, and with it numpy, is
-imported inside the functions that build or read tables, so totients,
-radical sets and the nu decomposition never load it.
+with deg h < r = k - deg D.  Every census takes one of two routes,
+chosen by one rule in `census_tables`: a lookup of its members' codes
+(listed by `tables.member_codes`) in the field's type tables, or
+factoring each member, built by polynomial arithmetic, with `polyring`.
+Tables already built are always used; new ones are built only when
+importing numpy and sieving them is estimated to cost no more than
+factoring every member.  The two routes give the same counts and are
+cross-checked in the tests.  `tables`, and with it numpy, is imported
+only once the rule has picked the table route, so totients, radical
+sets, the nu decomposition and every census that factors never load it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,13 +157,20 @@ class TypeCensus:
 # The census engine
 # ---------------------------------------------------------------------------
 
-# Building type tables sieves every monic code of degree 1..k.  On a 2-core
-# x86 machine with Python 3.11 and numpy 2.4 a code costs 0.14-1.05 us to
-# sieve and a member 120-330 us to factor ((q, k) in (2, 14), (3, 9),
-# (5, 6), (9, 5), (7, 5)), so tables break even at about 310-1100 codes a
-# member.  A far smaller ratio keeps the tables, and the memory they take,
-# to queries that clearly repay them.
-TABLE_COST_RATIO = 8
+# The route rule compares two costs in microseconds.  The table route pays
+# once for importing numpy and `tables`, then for sieving each of the
+# q + q^2 + ... + q^k codes of degrees 1..k; the factoring route pays for
+# each member.  `python tools/route_costs.py` measures all three in fresh
+# processes.  Two runs on a 2-core x86 machine with Python 3.11.7 and numpy
+# 2.4.6 gave a start-up of 104-110 ms and, at (q, k) in (2, 14), (3, 9),
+# (5, 6), (9, 5), (7, 5), a sieve of 0.15-1.19 us a code (medians 0.23 and
+# 0.25) and 187-402 us to factor a member (medians 216 and 223): a
+# break-even of 325-1450 codes a member.  The constants are rounded
+# medians.  Tables pay off from about 500 members, and past that while the
+# sieve stays under about 880 codes a member.
+TABLE_START_US = 110_000
+SIEVE_US_PER_CODE = 0.25
+FACTOR_US_PER_MEMBER = 220
 
 
 def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | None:
@@ -169,34 +178,48 @@ def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | 
 
     Returns type tables covering degree k, or None when each member is to
     be factored.  Tables already built are always used.  Otherwise they
-    are built only when they fit the enumeration budget and sieving every
-    code of degree 1..k costs at most TABLE_COST_RATIO codes per member.
+    are built only when q^k fits the enumeration budget and building them
+    costs no more than factoring every member:
+    TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members.
+    The start-up is charged whether or not numpy is loaded yet, so the route
+    depends only on (q, k, members) and the tables already built.  The rule
+    is decided before `tables` is imported: a census that factors never
+    loads numpy.
     """
+    tables = sys.modules.get("ffstat.tables")  # no tables exist before the module is imported
+    if tables is not None:
+        pt = tables.cached_poly_tables(spec, k)
+        if pt is not None:
+            return pt
+    q = spec.q
+    table_us = TABLE_START_US + SIEVE_US_PER_CODE * sum(q**d for d in range(1, k + 1))
+    if q**k > DEFAULT_BUDGET or table_us > FACTOR_US_PER_MEMBER * members:
+        return None
     from ffstat import tables
 
-    pt = tables.cached_poly_tables(spec, k)
-    if pt is not None:
-        return pt
-    q = spec.q
-    if q**k > DEFAULT_BUDGET or sum(q**d for d in range(1, k + 1)) > TABLE_COST_RATIO * members:
-        return None
     return tables.poly_tables(spec, k)
 
 
-def _route(spec: FieldSpec, k: int, codes: range | np.ndarray):
-    """(tables, index of the codes in their degree-k arrays), or (None, the members) when each is factored."""
-    pt = census_tables(spec, k, len(codes))
-    if pt is None:  # members are built from Python ints, not numpy scalars
-        return None, (pr.monic_from_code(spec, k, c) for c in map(int, codes))
-    if isinstance(codes, range):  # an interval's block of codes, read as a view
-        return pt, slice(codes.start, codes.stop)
-    return pt, codes
+def _route(spec: FieldSpec, k: int, size: int, codes, members):
+    """(tables, index of the members in their degree-k arrays), or (None, the members) when each is factored.
+
+    `codes()` lists the `size` member codes (a range or an array) and
+    `members()` yields them as polynomials; each is called only on its own
+    route, so the factoring route builds no numpy array.
+    """
+    pt = census_tables(spec, k, size)
+    if pt is None:
+        return None, members()
+    index = codes()
+    if isinstance(index, range):  # an interval's block of codes, read as a view
+        return pt, slice(index.start, index.stop)
+    return pt, index
 
 
-def _census(spec: FieldSpec, k: int, codes: range | np.ndarray) -> TypeCensus:
-    """Factorization-type census of the monic degree-k polynomials with these codes."""
+def _census(spec: FieldSpec, k: int, size: int, codes, members) -> TypeCensus:
+    """Factorization-type census of `size` monic degree-k polynomials, given as in `_route`."""
     parts = partitions_of(k)
-    pt, index = _route(spec, k, codes)
+    pt, index = _route(spec, k, size, codes, members)
     if pt is None:
         found = Counter(map(pr.factorization_type, index))
         counts = [found[lam] for lam in parts]
@@ -230,11 +253,22 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         f = pr.poly_mul(f, scale)
         g = pr.poly_mul(g, scale)
     if g.degree == 0:  # f + g*h runs over the whole interval around f
-        return _census(spec, k, IntervalSpec(f, m).codes())
-    from ffstat import tables
+        interval = IntervalSpec(f, m)
+        return _census(spec, k, interval.size, interval.codes, interval.members)
+    q = spec.q
 
-    ft = gf.field_table(spec)
-    return _census(spec, k, tables.member_codes(ft, f.ci, tables.multiplier_rows(ft, g.ci, m, k)))
+    def codes():
+        from ffstat import tables
+
+        ft = gf.field_table(spec)
+        return tables.member_codes(ft, f.ci, tables.multiplier_rows(ft, g.ci, m, k))
+
+    def members():  # h runs over the coefficient vectors (a_0, ..., a_m)
+        for code in range(q ** (m + 1)):
+            h = pr.poly_from_indices(spec, pr.code_to_coeffs(code, m + 1, q)[:-1])
+            yield pr.poly_add(f, pr.poly_mul(g, h))
+
+    return _census(spec, k, q ** (m + 1), codes, members)
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:
@@ -244,7 +278,7 @@ def interval_counts(interval: IntervalSpec) -> TypeCensus:
 
 def progression_counts(prog: ProgressionSpec) -> TypeCensus:
     """Census over the monic degree-k members of a residue class."""
-    return _census(prog.spec, prog.k, prog.codes())
+    return _census(prog.spec, prog.k, prog.size, prog.codes, prog.members)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +314,11 @@ def nu(f: Poly, m: int) -> int:
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    codes = IntervalSpec(f, m).codes()
-    pt, index = _route(f.spec, k, codes)
+    interval = IntervalSpec(f, m)
+    pt, index = _route(f.spec, k, interval.size, interval.codes, interval.members)
     total = sum(map(von_mangoldt, index)) if pt is None else int(pt.lambda_table(k)[index].sum())
     # the only prime power with zero constant term is t^k (code 0, Lambda = 1)
-    return total - (codes[0] == 0)
+    return total - (interval.base_code() == 0)
 
 
 def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:

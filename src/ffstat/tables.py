@@ -179,9 +179,6 @@ class PolyTables:
     def pid_of(self, lam: Partition) -> int:
         return self._pid[lam.k][lam.parts]
 
-    def type_of_code(self, d: int, code: int) -> Partition:
-        return self.partitions[d][int(self.types[d][code])]
-
     def degree_census(self, d: int, codes=slice(None)) -> np.ndarray:
         """Counts per partition index over the monic polynomials of degree d with these codes (default all)."""
         return np.bincount(self.types[d][codes], minlength=len(self.partitions[d]))

@@ -163,3 +163,8 @@ def factor_trial(f):
         found.append((rem, 1))
     found.sort(key=lambda pm: (pm[0].degree, pr.monic_code(pm[0])))
     return pr.Factorization(unit, tuple(found))
+
+
+def type_of_code(pt, d, code):
+    """Factorization type that type tables `pt` record for the monic degree-d polynomial with this code."""
+    return pt.partitions[d][int(pt.types[d][code])]

@@ -73,8 +73,13 @@ def test_light_commands_do_not_load_numpy():
         "hypotheses --p 3 --k 4 --m 2 --f 1 --D 0,1",
         "counterexample m0 --p 7 --k 3",
         "counterexample m1 --p 2 --n 1",
+        # censuses too small to repay the numpy start-up factor their members
+        "interval --p 2 --k 2 --m 1 --f 0,0,1",
+        "progression --p 3 --k 3 --D 0,1 --f 1",
+        "nu --p 2 --f 1,0,1 --m 1",
+        "nu --p 2 --nu 2 --f [1],[0],[0],[0],[0],[0],[1] --m 2 --decompose",
     ]
-    control = "interval --p 2 --k 2 --m 1 --f 0,0,1"  # a census: it reads type tables
+    control = "interval --p 5 --k 5 --m 4 --f 1,2,3,4,0,1"  # 3,125 members: the census builds and reads type tables
     argvs = [line.split() for line in light + [control]]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argvs)],

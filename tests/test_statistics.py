@@ -203,17 +203,25 @@ def test_census_route_rule(monkeypatch):
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2, F3, F5 = (gf.make_field(p, 1) for p in (2, 3, 5))
     t2 = pr.monomial(F2, 1)
+    f8 = P(F3, 2, 1, 0, 2, 1, 1, 0, 1, 1)
     cases = [
-        # (field, k, census, oracle, tables built); the sieve sums q^d over d = 1..k against 8 codes a member
+        # (field, k, census, oracle, tables built); tables are built when the estimate in microseconds
+        # 110,000 + 0.25 * (q + ... + q^k) is at most 220 * members.  The first three sieve at most
+        # 8 codes a member but are too small to repay the start-up; the middle three sieve 13.5 and repay it.
         (F5, 3, lambda: st.interval_counts(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), True),  # 155 <= 8 * 125
-        (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), False),  # 363 > 8 * 9
+         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), False),  # 110,038.75 > 220 * 125
         (F3, 3, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)).counts,
-         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), True),  # 39 <= 8 * 9
+         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), False),  # > 220 * 9
+        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), False),  # > 220 * 16
+        (F3, 8, lambda: st.interval_counts(st.IntervalSpec(f8, 5)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(f8, 5)), True),  # 9,840 codes: 112,460 <= 220 * 729
+        (F3, 8, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 8)).counts,
+         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 8)), True),  # 729 members
+        (F3, 8, lambda: st.nu(f8, 5), lambda: direct_nu(f8, 5), True),  # 729 members
+        (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), False),  # > 220 * 9
         (F3, 5, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)).counts,
-         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # 363 > 8 * 27
-        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), True),  # 30 <= 8 * 16
+         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # > 220 * 27
         (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), False),
     ]
     factored = []
@@ -235,9 +243,10 @@ def test_census_route_rule(monkeypatch):
 def test_census_tables_boundary(monkeypatch):
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2 = gf.make_field(2, 1)
-    assert st.census_tables(F2, 4, 3) is None  # 2 + 4 + 8 + 16 = 30 > 8 * 3
-    pt = st.census_tables(F2, 4, 4)  # 30 <= 8 * 4
-    assert pt is not None and pt.kmax == 4
+    # 2 + 4 + ... + 2^10 = 2,046 codes: 110,000 + 0.25 * 2,046 = 110,511.5 us against 220 us a member
+    assert st.census_tables(F2, 10, 502) is None  # 110,440 us of factoring is cheaper
+    pt = st.census_tables(F2, 10, 503)  # 110,660 us of factoring is not
+    assert pt is not None and pt.kmax == 10
     assert st.census_tables(F2, 3, 1) is pt  # tables already built cover any smaller degree
     assert st.census_tables(F2, 27, 2**27) is None  # PolyTables would exceed the enumeration budget
     assert tables._PT_CACHE[F2] is pt

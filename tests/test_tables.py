@@ -8,6 +8,8 @@ import pytest
 from ffstat import gf, polyring as pr, tables
 from ffstat.combinatorics import Partition, exact_prime_count, exact_type_count
 
+from helpers import type_of_code
+
 # (p, nu, kmax): every degree up to kmax is checked, q^kmax about 10^5 or below
 DEEP_FIELDS = [(2, 1, 16), (3, 1, 10), (2, 2, 8), (5, 1, 7), (3, 2, 5)]
 
@@ -33,7 +35,7 @@ def test_sieve_matches_factoring_on_sampled_codes(p, nu, d):
     rng = random.Random(20130 + spec.q)
     for code in rng.sample(range(spec.q**d), 200):
         f = pr.monic_from_code(spec, d, code)
-        assert pt.type_of_code(d, code) == pr.factorization_type(f), (spec.q, d, code)
+        assert type_of_code(pt, d, code) == pr.factorization_type(f), (spec.q, d, code)
 
 
 @pytest.mark.parametrize("p,nu,kmax", [(2, 1, 12), (3, 1, 7), (2, 2, 6), (7, 1, 4)])

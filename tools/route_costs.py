@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Measure the constants of the census route rule, `statistics.census_tables`.
+
+Every figure is taken in fresh interpreter processes running this
+checkout's `src/`:
+
+  start-up  importing `ffstat.tables`, and with it numpy, in a process
+            that has already imported `ffstat.cli`;
+  sieve     building `tables.PolyTables(spec, k)`, per sieved code
+            (q + q^2 + ... + q^k codes; the field tables are built first);
+  factor    `polyring.factorization_type(polyring.monic_from_code(...))`
+            per member, over seeded random members of degree k.
+
+The sieve and factoring costs are taken at each (q, k) point below, one
+process a point.  The script prints them with the break-even ratio
+(factoring microseconds a member over sieving microseconds a code) and
+then the rule's constants as `statistics` has them, so a change to those
+constants can cite a command rather than prose.
+
+    python -m compileall -q src && python tools/route_costs.py
+
+Compile first: with PYTHONDONTWRITEBYTECODE set, an uncompiled tree adds
+about 0.03 s and 1 MB to every process, and the start-up figure would
+include compiling `tables`.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from ffstat import statistics as st
+
+POINTS = ((2, 14), (3, 9), (5, 6), (9, 5), (7, 5))
+PROCESSES = 7  # fresh processes timing the start-up, median kept
+MEMBERS = 300  # members factored at each point
+REPS = 3  # timings of the sieve and of the factoring at each point, median kept
+
+STARTUP = """
+import time
+from ffstat import cli
+t = time.perf_counter()
+from ffstat import tables
+print(time.perf_counter() - t)
+"""
+
+POINT = """
+import json, random, sys, time
+from ffstat import gf, polyring as pr, tables
+q, k, members, reps = map(int, sys.argv[1:])
+spec = gf.make_field(*gf.prime_power(q))
+gf.field_table(spec)
+sieve = []
+for _ in range(reps):
+    t = time.perf_counter()
+    tables.PolyTables(spec, k)
+    sieve.append(time.perf_counter() - t)
+rng = random.Random(1)
+codes = [rng.randrange(q**k) for _ in range(members)]
+factor = []
+for _ in range(reps):
+    t = time.perf_counter()
+    for c in codes:
+        pr.factorization_type(pr.monic_from_code(spec, k, c))
+    factor.append(time.perf_counter() - t)
+print(json.dumps([sorted(sieve)[reps // 2], sorted(factor)[reps // 2]]))
+"""
+
+
+def _child(script: str, *args) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def main() -> int:
+    print(f"Python {sys.version.split()[0]}, numpy {numpy.__version__}, {os.cpu_count()} cores")
+    _child(STARTUP)  # not timed: warms the file cache
+    start_s = statistics.median(float(_child(STARTUP)) for _ in range(PROCESSES))
+    print(f"start-up (import ffstat.tables and numpy): {start_s * 1e3:.1f} ms, median of {PROCESSES} processes")
+    print(f"{'q':>3} {'k':>3} {'codes':>8} {'sieve s':>8} {'us/code':>8} {'us/member':>10} {'break-even codes/member':>24}")
+    sieve_us, factor_us = [], []
+    for q, k in POINTS:
+        codes = sum(q**d for d in range(1, k + 1))
+        s, f = json.loads(_child(POINT, q, k, MEMBERS, REPS))
+        per_code, per_member = s / codes * 1e6, f / MEMBERS * 1e6
+        sieve_us.append(per_code)
+        factor_us.append(per_member)
+        print(f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {per_code:>8.3f} {per_member:>10.1f} {per_member / per_code:>24.0f}")
+    print(f"sieve {min(sieve_us):.2f}-{max(sieve_us):.2f} us a code, factoring {min(factor_us):.0f}-{max(factor_us):.0f} us a member")
+    print(
+        f"measured medians: start-up {start_s * 1e6:.0f} us, sieve {statistics.median(sieve_us):.2f} us a code, "
+        f"factoring {statistics.median(factor_us):.0f} us a member"
+    )
+    print(
+        f"statistics uses:  start-up {st.TABLE_START_US} us, sieve {st.SIEVE_US_PER_CODE} us a code, "
+        f"factoring {st.FACTOR_US_PER_MEMBER} us a member; break-even "
+        f"{st.FACTOR_US_PER_MEMBER / st.SIEVE_US_PER_CODE:.0f} codes a member plus "
+        f"{st.TABLE_START_US / st.SIEVE_US_PER_CODE:.0f} codes of start-up"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
