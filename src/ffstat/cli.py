@@ -17,18 +17,22 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ffstat import __version__, gf, polyring as pr, statistics as st, verify
+from ffstat import __version__, gf, polyring as pr
 from ffstat.combinatorics import (
     Partition,
     cycle_type_probability,
     divisors,
     exact_prime_count,
     exact_type_count,
+    frac_str,
 )
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldElement, FieldSpec
 from ffstat.polyring import Poly
+
+if TYPE_CHECKING:  # annotations only: handlers import these for the subcommands that run them
+    from ffstat import statistics as st, verify
 
 CSV_HEADER = "q,k,m,lambda,cell_id,count,expected_num,expected_den,abs_dev,covered"
 
@@ -161,6 +165,8 @@ def _census_result(census: st.TypeCensus, lam: Optional[Partition]) -> dict:
 
 
 def _csv_text(report: verify.DeviationReport) -> str:
+    from ffstat import verify
+
     lines = [CSV_HEADER]
     for rec in report.per_cell or ():
         lines.append(
@@ -174,7 +180,7 @@ def _csv_text(report: verify.DeviationReport) -> str:
                     str(rec.count),
                     str(rec.expected.numerator),
                     str(rec.expected.denominator),
-                    verify.frac_str(rec.abs_dev),
+                    frac_str(rec.abs_dev),
                     "1" if rec.status is verify.CoverageStatus.COVERED else "0",
                 ]
             )
@@ -221,10 +227,12 @@ def cmd_pi_type(args, cfg):
 def cmd_partition_prob(args, cfg):
     lam = parse_partition(args.lam)
     params = {"lambda": str(lam)}
-    return None, params, (0, 0), lambda: (verify.frac_str(cycle_type_probability(lam)), None, 0)
+    return None, params, (0, 0), lambda: (frac_str(cycle_type_probability(lam)), None, 0)
 
 
 def cmd_totient(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     d_poly = parse_poly(args.D, spec)
     params = {"D": pr.poly_text(d_poly)}
@@ -233,6 +241,8 @@ def cmd_totient(args, cfg):
 
 
 def cmd_interval(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     if args.k is not None and f.degree != args.k:
@@ -247,6 +257,8 @@ def cmd_interval(args, cfg):
 
 
 def cmd_progression(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     d_poly = parse_poly(args.D, spec)
     f = parse_poly(args.f, spec)
@@ -260,6 +272,8 @@ def cmd_progression(args, cfg):
 
 
 def cmd_nu(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     params = {"f": pr.poly_text(f), "m": args.m, "decompose": bool(args.decompose)}
@@ -285,6 +299,8 @@ def cmd_nu(args, cfg):
 
 
 def cmd_radical(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     interval = st.IntervalSpec(f, args.m)
@@ -300,18 +316,22 @@ def cmd_radical(args, cfg):
 
 
 def cmd_mean_variance(args, cfg):
+    from ffstat import statistics as st
+
     spec = _field_from_args(args)
     params = {"k": args.k, "m": args.m}
     _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
 
     def run():
         mean, var = st.mean_variance_nu(spec, args.k, args.m, cfg.budget)
-        return {"mean": verify.frac_str(mean), "variance": verify.frac_str(var)}, None, 0
+        return {"mean": frac_str(mean), "variance": frac_str(var)}, None, 0
 
     return spec, params, (spec.q ** (args.k - args.m - 1), spec.q**args.k), run
 
 
 def cmd_variance_trend(args, cfg):
+    from ffstat import verify
+
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
     params = {"k": args.k, "m": args.m, "q_list": q_list}
     _require(bool(q_list), f"--q-list {args.q_list!r} names no prime power")
@@ -325,7 +345,7 @@ def cmd_variance_trend(args, cfg):
         report = verify.variance_trend(args.k, args.m, q_list, cfg.budget)
         result = {
             "limit": report.limit,
-            "per_q": [{"q": q, "ratio": verify.frac_str(ratio)} for q, ratio in report.per_q],
+            "per_q": [{"q": q, "ratio": frac_str(ratio)} for q, ratio in report.per_q],
         }
         return result, None, 0
 
@@ -333,11 +353,15 @@ def cmd_variance_trend(args, cfg):
 
 
 def _scan_result(cfg: RunConfig, report: verify.DeviationReport):
+    from ffstat import verify
+
     result = report if cfg.fmt == "csv" else verify.report_to_dict(report)
     return result, report.excluded, 0
 
 
 def cmd_scan_intervals(args, cfg):
+    from ffstat import verify
+
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
@@ -352,6 +376,8 @@ def cmd_scan_intervals(args, cfg):
 
 
 def cmd_scan_progressions(args, cfg):
+    from ffstat import verify
+
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
@@ -375,6 +401,8 @@ def cmd_scan_progressions(args, cfg):
 
 
 def cmd_hypotheses(args, cfg):
+    from ffstat import verify
+
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     params = {"k": args.k, "m": args.m, "f": pr.poly_text(f)}
@@ -393,6 +421,8 @@ def _counterexample_result(rep: verify.CounterexampleReport):
 
 
 def cmd_counterexample(args, cfg):
+    from ffstat import verify
+
     if args.which == "m0":
         spec = _field_from_args(args)
         params = {"variant": "m0", "k": args.k}
@@ -422,91 +452,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffstat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, field_required=True):
-        sp.add_argument("--p", type=int, default=None, required=False, help="field characteristic")
-        sp.add_argument("--nu", type=int, default=1, help="field extension degree (default 1)")
-        sp.add_argument("--threads", type=int, default=None, help="accepted and recorded; scans run in one thread")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration size")
-        sp.add_argument("--seed", type=int, default=None, help="reserved for forward compatibility")
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        sp.add_argument("--dry-run", action="store_true", help="print projected cell count and exit")
-        sp.add_argument("--timing", action="store_true", help="include measured timing_ms")
+    # the options every subcommand takes, declared once and copied into each as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, default=None, required=False, help="field characteristic")
+    common.add_argument("--nu", type=int, default=1, help="field extension degree (default 1)")
+    common.add_argument("--threads", type=int, default=None, help="accepted and recorded; scans run in one thread")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration size")
+    common.add_argument("--seed", type=int, default=None, help="reserved for forward compatibility")
+    common.add_argument("--output", default=None, help="output path (default stdout)")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    common.add_argument("--dry-run", action="store_true", help="print projected cell count and exit")
+    common.add_argument("--timing", action="store_true", help="include measured timing_ms")
 
-    sp = sub.add_parser("pi", help="exact count of monic prime polynomials of degree k")
-    add_common(sp)
+    sp = sub.add_parser("pi", parents=[common], help="exact count of monic prime polynomials of degree k")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(handler=cmd_pi)
 
-    sp = sub.add_parser("pi-type", help="exact count of monic degree-k polynomials of a type")
-    add_common(sp)
+    sp = sub.add_parser("pi-type", parents=[common], help="exact count of monic degree-k polynomials of a type")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.set_defaults(handler=cmd_pi_type)
 
-    sp = sub.add_parser("partition-prob", help="cycle-type probability P(lambda)")
-    add_common(sp)
+    sp = sub.add_parser("partition-prob", parents=[common], help="cycle-type probability P(lambda)")
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.set_defaults(handler=cmd_partition_prob)
 
-    sp = sub.add_parser("totient", help="polynomial Euler totient of D")
-    add_common(sp)
+    sp = sub.add_parser("totient", parents=[common], help="polynomial Euler totient of D")
     sp.add_argument("--D", required=True)
     sp.set_defaults(handler=cmd_totient)
 
-    sp = sub.add_parser("interval", help="type census of a short interval")
-    add_common(sp)
+    sp = sub.add_parser("interval", parents=[common], help="type census of a short interval")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.set_defaults(handler=cmd_interval)
 
-    sp = sub.add_parser("progression", help="type census of a residue class")
-    add_common(sp)
+    sp = sub.add_parser("progression", parents=[common], help="type census of a residue class")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--D", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.set_defaults(handler=cmd_progression)
 
-    sp = sub.add_parser("nu", help="von Mangoldt interval sum nu(f; m)")
-    add_common(sp)
+    sp = sub.add_parser("nu", parents=[common], help="von Mangoldt interval sum nu(f; m)")
     sp.add_argument("--f", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--decompose", action="store_true")
     sp.set_defaults(handler=cmd_nu)
 
-    sp = sub.add_parser("radical", help="radical set I(f, m)^{1/d}")
-    add_common(sp)
+    sp = sub.add_parser("radical", parents=[common], help="radical set I(f, m)^{1/d}")
     sp.add_argument("--f", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.set_defaults(handler=cmd_radical)
 
-    sp = sub.add_parser("mean-variance", help="exact mean and variance of nu(.; m)")
-    add_common(sp)
+    sp = sub.add_parser("mean-variance", parents=[common], help="exact mean and variance of nu(.; m)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.set_defaults(handler=cmd_mean_variance)
 
-    sp = sub.add_parser("variance-trend", help="Var/q^{m+1} across a list of prime powers")
-    add_common(sp)
+    sp = sub.add_parser("variance-trend", parents=[common], help="Var/q^{m+1} across a list of prime powers")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--q-list", dest="q_list", required=True)
     sp.set_defaults(handler=cmd_variance_trend)
 
-    sp = sub.add_parser("scan-intervals", help="deviation scan over all distinct intervals")
-    add_common(sp)
+    sp = sub.add_parser("scan-intervals", parents=[common], help="deviation scan over all distinct intervals")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--per-cell", action="store_true")
     sp.set_defaults(handler=cmd_scan_intervals)
 
-    sp = sub.add_parser("scan-progressions", help="deviation scan over residue classes")
-    add_common(sp)
+    sp = sub.add_parser("scan-progressions", parents=[common], help="deviation scan over residue classes")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
@@ -514,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-cells", type=int, default=None)
     sp.set_defaults(handler=cmd_scan_progressions)
 
-    sp = sub.add_parser("hypotheses", help="coverage classification for a cell")
-    add_common(sp)
+    sp = sub.add_parser("hypotheses", parents=[common], help="coverage classification for a cell")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--f", required=True)
@@ -525,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("counterexample", help="small-m counterexample checks")
     ce = sp.add_subparsers(dest="which", required=True)
     for which in ("m0", "m1"):
-        spw = ce.add_parser(which)
-        add_common(spw)
+        spw = ce.add_parser(which, parents=[common])
         if which == "m0":
             spw.add_argument("--k", type=int, required=True)
         else:

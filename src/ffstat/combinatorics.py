@@ -76,6 +76,11 @@ def cycle_type_probability(lam: Partition) -> Fraction:
     return Fraction(1, denom)
 
 
+def frac_str(fr: Fraction) -> str:
+    """A rational in the report's text form "num/den"."""
+    return f"{fr.numerator}/{fr.denominator}"
+
+
 def moebius(n: int) -> int:
     """Moebius function by trial factorization."""
     if n < 1:

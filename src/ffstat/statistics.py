@@ -10,10 +10,13 @@ chosen by one rule in `census_tables`: a lookup of its members' codes
 factoring each member, built by polynomial arithmetic, with `polyring`.
 Tables already built are always used; new ones are built only when
 importing numpy and sieving them is estimated to cost no more than
-factoring every member.  The two routes give the same counts and are
-cross-checked in the tests.  `tables`, and with it numpy, is imported
-only once the rule has picked the table route, so totients, radical
-sets, the nu decomposition and every census that factors never load it.
+factoring every member.  The censuses of all q^k monic polynomials of
+degree k, summed per interval by `block_sums` for `mean_variance_nu` and
+`verify.scan_intervals`, take the same rule.  The two routes give the
+same counts and are cross-checked in the tests.  `tables`, and with it
+numpy, is imported only once the rule has picked the table route, so
+totients, radical sets, the nu decomposition and every census that
+factors never load it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from ffstat import gf, polyring as pr
@@ -173,13 +177,13 @@ SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
 
 
-def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | None:
+def census_tables(spec: FieldSpec, k: int, members: int, budget: int = DEFAULT_BUDGET) -> tables.PolyTables | None:
     """The route for a census of `members` monic degree-k polynomials.
 
     Returns type tables covering degree k, or None when each member is to
     be factored.  Tables already built are always used.  Otherwise they
-    are built only when q^k fits the enumeration budget and building them
-    costs no more than factoring every member:
+    are built only when q^k fits the enumeration budget `budget` and
+    building them costs no more than factoring every member:
     TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members.
     The start-up is charged whether or not numpy is loaded yet, so the route
     depends only on (q, k, members) and the tables already built.  The rule
@@ -193,11 +197,27 @@ def census_tables(spec: FieldSpec, k: int, members: int) -> tables.PolyTables | 
             return pt
     q = spec.q
     table_us = TABLE_START_US + SIEVE_US_PER_CODE * sum(q**d for d in range(1, k + 1))
-    if q**k > DEFAULT_BUDGET or table_us > FACTOR_US_PER_MEMBER * members:
+    if q**k > budget or table_us > FACTOR_US_PER_MEMBER * members:
         return None
     from ffstat import tables
 
-    return tables.poly_tables(spec, k)
+    return tables.poly_tables(spec, k, budget)
+
+
+def block_sums(spec: FieldSpec, k: int, block: int, budget: int, value, table_sums) -> list[int]:
+    """Sums of `value(g)` over each run of `block` consecutive codes of the monic degree-k g.
+
+    A census of all q^k members, by the route `census_tables` picks:
+    `table_sums(tables)` returns the sums as an array read from type
+    tables, or else `value` is called on every member in code order.
+    `block` divides q^k, and the caller has checked q^k against `budget`.
+    """
+    qk = spec.q**k
+    pt = census_tables(spec, k, qk, budget)
+    if pt is not None:
+        return table_sums(pt).tolist()
+    values = map(value, pr.all_monic(spec, k))
+    return [sum(islice(values, block)) for _ in range(qk // block)]
 
 
 def _route(spec: FieldSpec, k: int, size: int, codes, members):
@@ -332,11 +352,8 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     if spec.q**k > budget:
         raise BudgetError(f"q^k = {spec.q**k} exceeds the enumeration budget {budget}")
-    from ffstat import tables
-
-    pt = tables.poly_tables(spec, k, budget)
     block = spec.q ** (m + 1)
-    sums = pt.lambda_block_sums(k, block).tolist()
+    sums = block_sums(spec, k, block, budget, von_mangoldt, lambda pt: pt.lambda_block_sums(k, block))
     sums[0] -= 1  # t^k lies in the base-0 interval and is filtered out
     n_blocks = len(sums)
     s1 = sum(sums)

@@ -8,9 +8,14 @@ a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
 Scans run in one thread and visit cells in order, so reports are
-deterministic; `ScanOptions.workers` is accepted and ignored.  The scans
-import `tables`, and with it numpy, in their bodies, so the hypothesis
-checks and the counterexamples never load it.
+deterministic; `ScanOptions.workers` is accepted and ignored.  An
+interval scan counts all q^k monic polynomials of degree k by the census
+route of `statistics.census_tables`, so a small one factors its members;
+a progression scan always builds type tables.  `tables`, and with it
+numpy, is imported only inside the functions that build or read tables,
+so the hypothesis checks, the counterexamples and small interval scans
+never load it.  The command line imports this module only for the
+subcommands that run it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 
 from ffstat import gf, polyring as pr
 from ffstat import statistics as st
-from ffstat.combinatorics import Partition, cycle_type_probability, exact_type_count
+from ffstat.combinatorics import Partition, cycle_type_probability, exact_type_count, frac_str
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
 
@@ -136,10 +141,6 @@ class DeviationReport:
     per_cell: Optional[tuple[CellRecord, ...]] = None
 
 
-def frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def normalized_deviation(dev: Fraction, q: int, m: int) -> str:
     """|count - expected| / q^{m+1/2} rendered as a 12-significant-digit decimal."""
     value = float(dev) / (q**m * math.sqrt(q))
@@ -192,11 +193,12 @@ class _Aggregator:
         self.status_cells: dict[CoverageStatus, int] = {}
         self.max_dev: dict[CoverageStatus, tuple[int, int]] = {}
 
-    def add(self, count: int, num: int, den: int, status: CoverageStatus) -> None:
-        self.cells += 1
-        self.total_count += count
-        self.status_cells[status] = self.status_cells.get(status, 0) + 1
-        dev = abs(count * den - num)
+    def add(self, counts: list[int], num: int, den: int, status: CoverageStatus) -> None:
+        """Add cells that share one expected value num/den and one status, given their counts."""
+        self.cells += len(counts)
+        self.total_count += sum(counts)
+        self.status_cells[status] = self.status_cells.get(status, 0) + len(counts)
+        dev = max(abs(max(counts) * den - num), abs(min(counts) * den - num))
         best = self.max_dev.get(status)
         if best is None or dev * best[1] > best[0] * den:
             self.max_dev[status] = (dev, den)
@@ -250,19 +252,25 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             f"projected enumeration of {q}^{k} = {q**k} polynomials "
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
         )
-    from ffstat import tables
-
-    pt = tables.poly_tables(spec, k, opts.budget)
     block = q ** (m + 1)
+    counts = st.block_sums(
+        spec, k, block, opts.budget,
+        lambda g: pr.factorization_type(g) == lam,
+        lambda pt: pt.block_counts(k, pt.pid_of(lam), block),
+    )
     expected = cycle_type_probability(lam) * block
+    num, den = expected.numerator, expected.denominator
     per_rep = spec.p == 2 and m == 2
     fixed = None if per_rep else check_hypotheses_interval(spec, k, m, pr.monic_from_code(spec, k, 0)).status
     agg = _Aggregator()
     rows: Optional[list[CellRecord]] = [] if opts.per_cell else None
-    for base, count in enumerate(pt.block_counts(k, pt.pid_of(lam), block).tolist()):
-        rep = pr.monic_from_code(spec, k, base * block) if per_rep or opts.per_cell else None
+    if fixed is not None and rows is None:  # every cell has one status and needs no row
+        agg.add(counts, num, den, fixed)
+        return agg.report("interval", q, k, m, lam, expected, rows)
+    for base, count in enumerate(counts):
+        rep = pr.monic_from_code(spec, k, base * block)
         status = check_hypotheses_interval(spec, k, m, rep).status if per_rep else fixed
-        agg.add(count, expected.numerator, expected.denominator, status)
+        agg.add([count], num, den, status)
         if rows is not None:
             rows.append(CellRecord(base, pr.poly_text(rep), count, expected, abs(count - expected), status))
     return agg.report("interval", q, k, m, lam, expected, rows)
@@ -320,7 +328,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
             top = pr.poly_add(f_poly, d_shifted)
             count = int((types[tables.member_codes(pt.field, top.ci, d_rows)] == pid).sum())
             status = _classify_progression(spec, m, d_poly, f_poly).status
-            agg.add(count, pi_lam, phi, status)
+            agg.add([count], pi_lam, phi, status)
             if rows is not None:
                 expected = Fraction(pi_lam, phi)
                 label = f"D={pr.poly_text(d_poly)};f={pr.poly_text(f_poly)}"

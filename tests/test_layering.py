@@ -1,4 +1,5 @@
-"""The module graph runs one way, and numpy loads only where type tables are built or read."""
+"""The module graph runs one way, numpy loads only where type tables are built or read,
+and the command line loads `statistics` and `verify` only for the subcommands that run them."""
 
 import ast
 import json
@@ -12,6 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # a module may import, at module level, only modules of an earlier or the same rank;
 # the package's __init__ ranks below them all, so it imports none
 ORDER = {"gf": 0, "combinatorics": 0, "polyring": 1, "tables": 2, "statistics": 3, "verify": 4, "cli": 5}
+# earlier modules that a module may import only inside the functions that use them
+DEFERRED = {"cli": {"statistics", "verify"}}
 
 
 def _module_level_imports(tree):
@@ -48,6 +51,7 @@ def test_module_level_imports_follow_the_layer_order():
                 dep = sub.split(".")[0]
                 if top == "ffstat" and dep in ORDER:
                     assert dep != name and ORDER[dep] <= ORDER.get(name, -1), f"{name} imports the later module {dep}"
+                    assert dep not in DEFERRED.get(name, ()), f"{name} imports {dep} at module level"
 
 
 PROBE = """
@@ -78,6 +82,10 @@ def test_light_commands_do_not_load_numpy():
         "progression --p 3 --k 3 --D 0,1 --f 1",
         "nu --p 2 --f 1,0,1 --m 1",
         "nu --p 2 --nu 2 --f [1],[0],[0],[0],[0],[0],[1] --m 2 --decompose",
+        # whole-degree censuses of 81 and 32 + 243 members factor them too
+        "mean-variance --p 3 --k 4 --m 1",
+        "variance-trend --k 5 --m 1 --q-list 2,3",
+        "scan-intervals --p 3 --k 4 --m 2 --lambda 4",
     ]
     control = "interval --p 5 --k 5 --m 4 --f 1,2,3,4,0,1"  # 3,125 members: the census builds and reads type tables
     argvs = [line.split() for line in light + [control]]
@@ -89,3 +97,33 @@ def test_light_commands_do_not_load_numpy():
     assert [code for _, code, _, _ in rows] == [0] * len(argvs)
     assert [row[2:] for row in rows[:-1]] == [[False, False]] * len(light), rows
     assert rows[-1][2:] == [True, True]
+
+
+LOADED = """
+import contextlib, io, json, sys
+from ffstat import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(["ffstat.statistics" in sys.modules, "ffstat.verify" in sys.modules]))
+"""
+
+
+def test_cli_loads_statistics_and_verify_per_subcommand():
+    # each in a fresh interpreter: [loads statistics, loads verify]
+    cases = [
+        ("", [False, False]),  # a bare `import ffstat.cli`
+        ("pi --p 2 --k 3", [False, False]),
+        ("pi-type --p 3 --k 4 --lambda 2+1+1", [False, False]),
+        ("partition-prob --lambda 2+2", [False, False]),
+        ("interval --p 2 --k 2 --m 1 --f 0,0,1", [True, False]),
+        ("nu --p 2 --f 1,0,1 --m 1", [True, False]),
+        ("totient --p 3 --D 0,0,1", [True, False]),
+        ("hypotheses --p 5 --k 5 --m 1 --f 0,0,0,0,0,1", [True, True]),  # control: verify imports statistics
+    ]
+    for line, loaded in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED, *line.split()],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+        )
+        assert json.loads(proc.stdout) == loaded, line

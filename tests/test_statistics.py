@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from ffstat import gf, polyring as pr, tables
+from ffstat import gf, polyring as pr, tables, verify
 from ffstat import statistics as st
 from ffstat.combinatorics import Partition, divisors, exact_prime_count, exact_type_count, partitions_of
+from ffstat.verify import ScanOptions
 
 from helpers import (
     brute_totient,
@@ -198,6 +199,27 @@ def test_progression_prime_partition_identity():
 # The census route
 # ---------------------------------------------------------------------------
 
+def _scan_counts(spec, k, m):
+    report = verify.scan_intervals(spec, k, m, Partition((k,)), ScanOptions(per_cell=True))
+    return [rec.count for rec in report.per_cell]
+
+
+def _direct_scan_counts(spec, k, m):
+    block = spec.q ** (m + 1)
+    return [
+        direct_interval_census(st.IntervalSpec(pr.monic_from_code(spec, k, base * block), m)).get(Partition((k,)), 0)
+        for base in range(spec.q ** (k - m - 1))
+    ]
+
+
+def _direct_mean_variance(spec, k, m):
+    # the members of one interval share their nu value, and every interval has q^(m+1) members
+    block = spec.q ** (m + 1)
+    values = [direct_nu(pr.monic_from_code(spec, k, base * block), m) for base in range(spec.q ** (k - m - 1))]
+    mean = Fraction(sum(values), len(values))
+    return mean, sum((v - mean) ** 2 for v in values) / len(values)
+
+
 def test_census_route_rule(monkeypatch):
     # each census, from an empty table cache, takes the route the rule names, then the table route once warm
     monkeypatch.setattr(tables, "_PT_CACHE", {})
@@ -223,6 +245,12 @@ def test_census_route_rule(monkeypatch):
         (F3, 5, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)).counts,
          lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # > 220 * 27
         (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), False),
+        # interval scans and the nu mean and variance census all q^k members of degree k:
+        # 81 at F_3, k = 4 factor (110,030 > 220 * 81); 1,024 at F_2, k = 10 build tables (110,511.5 <= 220 * 1,024)
+        (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), False),
+        (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), False),
+        (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), True),
+        (F2, 10, lambda: st.mean_variance_nu(F2, 10, 1), lambda: _direct_mean_variance(F2, 10, 1), True),
     ]
     factored = []
     factor = pr.factor
@@ -250,6 +278,12 @@ def test_census_tables_boundary(monkeypatch):
     assert st.census_tables(F2, 3, 1) is pt  # tables already built cover any smaller degree
     assert st.census_tables(F2, 27, 2**27) is None  # PolyTables would exceed the enumeration budget
     assert tables._PT_CACHE[F2] is pt
+    # the caller's budget bounds the tables a census may build, on both sides of q^k = 2^10
+    tables._PT_CACHE.clear()
+    assert st.census_tables(F2, 10, 10**6, budget=2**9) is None
+    assert F2 not in tables._PT_CACHE
+    pt = st.census_tables(F2, 10, 10**6, budget=2**10)
+    assert pt is not None and pt.kmax == 10
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3)])

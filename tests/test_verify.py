@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from ffstat import gf, polyring as pr, verify
+from ffstat import cli, gf, polyring as pr, tables, verify
 from ffstat import statistics as st
 from ffstat.cli import canonical_json
-from ffstat.combinatorics import Partition, exact_prime_count
+from ffstat.combinatorics import Partition, exact_prime_count, partitions_of
 from ffstat.verify import CoverageStatus, ScanOptions
 
 from helpers import direct_progression_census
@@ -190,6 +190,64 @@ def test_scan_aggregates_match_rows(mode, q, k, m, has_excluded):
             "excluded": report.excluded,
         }, (mode, q, k, m, lam)
         assert bool(report.excluded) == has_excluded
+
+
+@pytest.mark.parametrize(
+    "q,k,m,status",
+    [
+        (2, 10, 1, CoverageStatus.EXCLUDED_CHAR_DIVIDES),  # 256 cells
+        (3, 7, 1, CoverageStatus.EXCLUDED_CHAR_DIVIDES),
+        (3, 7, 2, CoverageStatus.COVERED),
+    ],
+)
+def test_scan_one_status_aggregates_match_rows(q, k, m, status):
+    # a scan without rows whose cells share one status adds all its counts at once
+    spec = gf.make_field(q, 1)
+    for lam in (Partition((k,)), Partition((k - 1, 1))):
+        report = verify.scan_intervals(spec, k, m, lam)
+        assert _summary_from_rows(verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))) == {
+            "cells": report.cells,
+            "covered_cells": report.covered_cells,
+            "total_count": report.total_count,
+            "max_abs_dev": report.max_abs_dev,
+            "excluded": report.excluded,
+        }, (q, k, m, lam)
+        assert report.cells == q ** (k - m - 1)
+        assert report.cells == (report.covered_cells if status is CoverageStatus.COVERED else report.excluded[status.value]["cells"])
+
+
+def test_aggregator_adds_a_list_as_its_cells():
+    # expected 11/2: the largest deviation lies at the smallest count in one list and at the largest in the other
+    lam = Partition((2,))
+    for counts, max_dev in (([5, 9, 1, 7], Fraction(9, 2)), ([5, 12, 3], Fraction(13, 2))):
+        one, each = verify._Aggregator(), verify._Aggregator()
+        one.add(counts, 11, 2, CoverageStatus.COVERED)
+        for count in counts:
+            each.add([count], 11, 2, CoverageStatus.COVERED)
+        report = one.report("interval", 2, 2, 1, lam, None, None)
+        assert report == each.report("interval", 2, 2, 1, lam, None, None)
+        assert (report.cells, report.total_count, report.max_abs_dev) == (len(counts), sum(counts), max_dev)
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3)])
+def test_whole_degree_routes_agree(q, kmax, monkeypatch):
+    # interval scans (summary, per-cell JSON and CSV) and the nu mean and variance, by factoring and by table lookup;
+    # q = 2 and 4 include the p = m = 2 scans, whose cells are classified one by one
+    spec = gf.make_field(*gf.prime_power(q))
+    pt = tables.poly_tables(spec, kmax)
+    results = {}
+    for route in (None, pt):
+        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, budget, route=route: route)
+        out = results[route is None] = []
+        for k in range(2, kmax + 1):
+            for m in range(1, k):
+                out.append(st.mean_variance_nu(spec, k, m))
+                for lam in partitions_of(k):
+                    out.append(canonical_json(verify.report_to_dict(verify.scan_intervals(spec, k, m, lam))))
+                    report = verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))
+                    out.append(canonical_json(verify.report_to_dict(report)))
+                    out.append(cli._csv_text(report))
+    assert results[True] == results[False]
 
 
 def test_scan_intervals_worker_determinism(F3):

@@ -9,13 +9,18 @@ checkout's `src/`:
   sieve     building `tables.PolyTables(spec, k)`, per sieved code
             (q + q^2 + ... + q^k codes; the field tables are built first);
   factor    `polyring.factorization_type(polyring.monic_from_code(...))`
-            per member, over seeded random members of degree k.
+            per member, over seeded random members of degree k, or at
+            the whole-degree points over every member in code order, as
+            `statistics.block_sums` factors them for interval scans and
+            the nu mean and variance.
 
 The sieve and factoring costs are taken at each (q, k) point below, one
 process a point.  The script prints them with the break-even ratio
 (factoring microseconds a member over sieving microseconds a code) and
 then the rule's constants as `statistics` has them, so a change to those
-constants can cite a command rather than prose.
+constants can cite a command rather than prose.  The whole-degree points
+are small fields and degrees, where the rule factors; their medians are
+printed apart and do not enter the measured medians.
 
     python -m compileall -q src && python tools/route_costs.py
 
@@ -39,6 +44,7 @@ sys.path.insert(0, str(SRC))
 from ffstat import statistics as st
 
 POINTS = ((2, 14), (3, 9), (5, 6), (9, 5), (7, 5))
+WHOLE_DEGREE_POINTS = ((3, 4), (3, 5), (2, 8))  # every member, as in the scans and mean-variance runs of the bench
 PROCESSES = 7  # fresh processes timing the start-up, median kept
 MEMBERS = 300  # members factored at each point
 REPS = 3  # timings of the sieve and of the factoring at each point, median kept
@@ -63,7 +69,7 @@ for _ in range(reps):
     tables.PolyTables(spec, k)
     sieve.append(time.perf_counter() - t)
 rng = random.Random(1)
-codes = [rng.randrange(q**k) for _ in range(members)]
+codes = range(q**k) if members == q**k else [rng.randrange(q**k) for _ in range(members)]
 factor = []
 for _ in range(reps):
     t = time.perf_counter()
@@ -79,25 +85,34 @@ def _child(script: str, *args) -> str:
     return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, check=True).stdout
 
 
+def _points(points, members_at) -> tuple[list[float], list[float]]:
+    """Print one row a (q, k) point; return the sieve microseconds a code and the factoring microseconds a member."""
+    sieve_us, factor_us = [], []
+    for q, k in points:
+        codes, members = sum(q**d for d in range(1, k + 1)), members_at(q, k)
+        s, f = json.loads(_child(POINT, q, k, members, REPS))
+        per_code, per_member = s / codes * 1e6, f / members * 1e6
+        sieve_us.append(per_code)
+        factor_us.append(per_member)
+        print(f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {per_code:>8.3f} {per_member:>10.1f} {per_member / per_code:>24.0f}")
+    return sieve_us, factor_us
+
+
 def main() -> int:
     print(f"Python {sys.version.split()[0]}, numpy {numpy.__version__}, {os.cpu_count()} cores")
     _child(STARTUP)  # not timed: warms the file cache
     start_s = statistics.median(float(_child(STARTUP)) for _ in range(PROCESSES))
     print(f"start-up (import ffstat.tables and numpy): {start_s * 1e3:.1f} ms, median of {PROCESSES} processes")
     print(f"{'q':>3} {'k':>3} {'codes':>8} {'sieve s':>8} {'us/code':>8} {'us/member':>10} {'break-even codes/member':>24}")
-    sieve_us, factor_us = [], []
-    for q, k in POINTS:
-        codes = sum(q**d for d in range(1, k + 1))
-        s, f = json.loads(_child(POINT, q, k, MEMBERS, REPS))
-        per_code, per_member = s / codes * 1e6, f / MEMBERS * 1e6
-        sieve_us.append(per_code)
-        factor_us.append(per_member)
-        print(f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {per_code:>8.3f} {per_member:>10.1f} {per_member / per_code:>24.0f}")
+    sieve_us, factor_us = _points(POINTS, lambda q, k: MEMBERS)
     print(f"sieve {min(sieve_us):.2f}-{max(sieve_us):.2f} us a code, factoring {min(factor_us):.0f}-{max(factor_us):.0f} us a member")
     print(
         f"measured medians: start-up {start_s * 1e6:.0f} us, sieve {statistics.median(sieve_us):.2f} us a code, "
         f"factoring {statistics.median(factor_us):.0f} us a member"
     )
+    print("whole-degree points, every member factored in code order:")
+    _, whole_us = _points(WHOLE_DEGREE_POINTS, lambda q, k: q**k)
+    print(f"whole-degree factoring {min(whole_us):.0f}-{max(whole_us):.0f} us a member, median {statistics.median(whole_us):.0f}")
     print(
         f"statistics uses:  start-up {st.TABLE_START_US} us, sieve {st.SIEVE_US_PER_CODE} us a code, "
         f"factoring {st.FACTOR_US_PER_MEMBER} us a member; break-even "
