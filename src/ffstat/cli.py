@@ -277,8 +277,9 @@ def cmd_nu(args, cfg):
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
     params = {"f": pr.poly_text(f), "m": args.m, "decompose": bool(args.decompose)}
-    _require(1 <= args.m < f.degree, f"m = {args.m} out of range 1..{f.degree - 1}")
-    k = st.IntervalSpec(f, args.m).k  # rejects a center that is not monic
+    st.check_center(f)
+    k = f.degree
+    _require(1 <= args.m < k, f"m = {args.m} out of range 1..{k - 1}")
     enumeration = spec.q ** (args.m + 1)
     if args.decompose:
         enumeration += sum(spec.q ** (k // d) for d in divisors(k) if d > 1)

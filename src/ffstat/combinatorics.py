@@ -133,10 +133,3 @@ def exact_type_count(q: int, k: int, lam: Partition) -> int:
     for part, mult in lam.multiplicities().items():
         count *= math.comb(exact_prime_count(q, part) + mult - 1, mult)
     return count
-
-
-def divisor_excess(k: int) -> int:
-    """sigma(k) - k = sum of k/d over divisors 1 < d <= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sum(divisors(k)) - k

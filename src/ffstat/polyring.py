@@ -1,4 +1,4 @@
-"""Polynomial arithmetic over F_q[t] with full factorization.
+"""Polynomial arithmetic over F_q[t] and factorization into prime degrees.
 
 A `Poly` stores its field spec and a trimmed tuple of coefficient
 *indices* (see `gf.element_index`), low-to-high; the `coeffs` property
@@ -13,16 +13,15 @@ are the codes 0 .. q^d - 1, and a short interval is a block of them.
 All arithmetic runs on index tuples through the field's index tables
 (`gf.field_table`).
 
-Factorization runs squarefree decomposition (with p-th root extraction
-when the derivative vanishes, valid since F_q is perfect), then
-distinct-degree splitting via gcd(f, t^{q^d} - t), then equal-degree
-splitting derandomized by iterating candidates in canonical code order
-so that output is bit-identical across runs.
+Factoring finds the degrees and multiplicities of the prime
+factors, which is all that factorization types, the totient and the von
+Mangoldt function read: squarefree decomposition (with p-th root
+extraction when the derivative vanishes, valid since F_q is perfect),
+then distinct-degree splitting via gcd(f, t^{q^d} - t).
+`is_irreducible` is Rabin's test, independent of both.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ffstat import gf
 from ffstat.combinatorics import Partition
@@ -352,29 +351,6 @@ def derivative(f: Poly) -> Poly:
     return Poly(f.spec, _derivative_idx(gf.field_table(f.spec), f.spec, f.ci))
 
 
-def hasse_derivatives(f: Poly) -> tuple[Poly, Poly]:
-    """First and second Hasse-Schmidt derivatives.
-
-    The n-th coefficient contributes n * c_n to degree n-1 and
-    C(n, 2) * c_n to degree n-2, the binomials reduced mod p; in odd
-    characteristic the second one equals half the second derivative.
-    """
-    spec = f.spec
-    ft = gf.field_table(spec)
-    q = ft.q
-    mulT = ft.mul
-    p = spec.p
-    first = _derivative_idx(ft, spec, f.ci)
-    second = [0] * max(len(f.ci) - 2, 0)
-    for n in range(2, len(f.ci)):
-        s = (n * (n - 1) // 2) % p
-        if s and f.ci[n]:
-            second[n - 2] = mulT[f.ci[n] * q + s]
-    while second and second[-1] == 0:
-        second.pop()
-    return Poly(spec, first), Poly(spec, tuple(second))
-
-
 def rational_derivative_is_constant(f: Poly, d: Poly) -> bool:
     """Whether (f/D)' = (f'D - fD')/D^2 is an element of F_q (possibly 0)."""
     spec = _same_spec(f, d)
@@ -396,25 +372,8 @@ def rational_derivative_is_constant(f: Poly, d: Poly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Factorization
+# Factoring
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(P_i^{e_i}) with distinct monic irreducible P_i, sorted by (degree, code)."""
-
-    unit: FieldElement
-    factors: tuple[tuple[Poly, int], ...]
-
-    def expand_over(self, spec: FieldSpec) -> Poly:
-        """Multiply the factorization back out over the given field."""
-        ft = gf.field_table(spec)
-        acc = (gf.element_index(spec, self.unit),)
-        for poly, mult in self.factors:
-            for _ in range(mult):
-                acc = mul_idx(ft, acc, poly.ci)
-        return Poly(spec, acc)
-
 
 def _pth_root_idx(ft, spec, a):
     # a = b(t^p) with Frobenius-power coefficients; recover b
@@ -435,7 +394,7 @@ def _squarefree_idx(ft, spec, m):
         inner = _pth_root_idx(ft, spec, m)
         return [(g, e * spec.p) for g, e in _squarefree_idx(ft, spec, inner)]
     out = []
-    c = _monic_idx(ft, _gcd_idx(ft, m, deriv))
+    c = _gcd_idx(ft, m, deriv)
     w = _divrem_idx(ft, m, c)[0]
     i = 1
     while len(w) > 1:
@@ -472,91 +431,29 @@ def _distinct_degree_idx(ft, spec, g):
     return out
 
 
-def _candidate_idx(spec, n):
-    # canonical candidate sequence: base-q digits of n as coefficients
-    q = spec.q
-    digits = []
-    while n:
-        digits.append(n % q)
-        n //= q
-    return tuple(digits)
+def factor(f: Poly) -> tuple[tuple[int, int], ...]:
+    """Sorted (degree, multiplicity) of each distinct monic irreducible factor; () for a constant.
 
-
-def _equal_degree_idx(ft, spec, h, d):
-    """Split monic h (product of distinct irreducibles of degree d) completely.
-
-    Deterministic: splitting candidates are iterated in canonical code
-    order, never sampled, so the factor list is identical across runs.
+    A distinct-degree piece of degree n whose factors have degree d
+    holds n/d of them, so the primes themselves are never split out.
     """
-    if len(h) - 1 == d:
-        return [h]
-    q = spec.q
-    out = []
-    stack = [h]
-    n_candidate = q  # first non-constant polynomial
-    odd = spec.p != 2
-    exponent = (q**d - 1) // 2 if odd else 0
-    trace_steps = spec.nu * d if not odd else 0
-    while stack:
-        cur = stack.pop()
-        if len(cur) - 1 == d:
-            out.append(cur)
-            continue
-        split = None
-        while split is None:
-            c = _candidate_idx(spec, n_candidate)
-            n_candidate += 1
-            if n_candidate > q ** (len(h) + 1):
-                raise AssertionError("equal-degree splitting exhausted candidates")
-            g0 = _gcd_idx(ft, c, cur)
-            if 1 < len(g0) < len(cur):
-                split = g0
-                break
-            if odd:
-                u = _powmod_idx(ft, c, exponent, cur)
-                s = _gcd_idx(ft, _sub_idx(ft, u, (1,)), cur)
-            else:
-                acc = _mod_idx(ft, c, cur)
-                trace = acc
-                for _ in range(trace_steps - 1):
-                    acc = _mulmod_idx(ft, acc, acc, cur)
-                    trace = _add_idx(ft, trace, acc)
-                s = _gcd_idx(ft, trace, cur)
-            if 1 < len(s) < len(cur):
-                split = s
-        other = _divrem_idx(ft, cur, split)[0]
-        stack.append(split)
-        stack.append(other)
-    return out
-
-
-def factor(f: Poly) -> Factorization:
-    """Complete factorization into monic irreducibles with multiplicities."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     spec = f.spec
     ft = gf.field_table(spec)
-    unit = f.leading()
-    m = _monic_idx(ft, f.ci)
     found = []
-    for sf, mult in _squarefree_idx(ft, spec, m):
+    for sf, mult in _squarefree_idx(ft, spec, _monic_idx(ft, f.ci)):
         for piece, d in _distinct_degree_idx(ft, spec, sf):
-            for prime in _equal_degree_idx(ft, spec, piece, d):
-                found.append((prime, mult))
-    found.sort(key=lambda pm: (len(pm[0]), coeffs_to_code(pm[0], spec.q)))
-    return Factorization(unit, tuple((Poly(spec, ci), e) for ci, e in found))
+            found += [(d, mult)] * ((len(piece) - 1) // d)
+    return tuple(sorted(found))
 
 
 def factorization_type(f: Poly) -> Partition:
     """Degrees of the irreducible factors with multiplicity, as a partition of deg f."""
     if f.is_zero or len(f.ci) == 1:
         raise ValueError("factorization type needs degree >= 1")
-    fact = factor(f)
-    parts = []
-    for poly, mult in fact.factors:
-        parts.extend([len(poly.ci) - 1] * mult)
-    parts.sort(reverse=True)
-    return Partition(tuple(parts))
+    parts = [d for d, mult in factor(f) for _ in range(mult)]
+    return Partition(tuple(sorted(parts, reverse=True)))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -39,6 +39,14 @@ if TYPE_CHECKING:  # annotations only
     from ffstat import tables
 
 
+def check_center(f: Poly) -> None:
+    """Reject an interval center that is not monic of degree >= 1."""
+    if not f.is_monic:
+        raise ValueError("interval center must be monic")
+    if f.degree < 1:
+        raise ValueError("interval center must have degree >= 1")
+
+
 @dataclass(frozen=True)
 class IntervalSpec:
     """The interval around a monic degree-k polynomial: all g with deg(f - g) <= m."""
@@ -47,13 +55,9 @@ class IntervalSpec:
     m: int
 
     def __post_init__(self):
-        if not self.f.is_monic:
-            raise ValueError("interval center must be monic")
-        k = self.f.degree
-        if k < 1:
-            raise ValueError("interval center must have degree >= 1")
-        if not 0 <= self.m < k:
-            raise ValueError(f"m = {self.m} out of range 0..{k - 1}")
+        check_center(self.f)
+        if not 0 <= self.m < self.k:
+            raise ValueError(f"m = {self.m} out of range 0..{self.k - 1}")
 
     @property
     def spec(self) -> FieldSpec:
@@ -87,11 +91,6 @@ class IntervalSpec:
         """All q^{m+1} members in code order."""
         for code in self.codes():
             yield pr.monic_from_code(self.spec, self.k, code)
-
-    def contains(self, g: Poly) -> bool:
-        if g.spec != self.spec or not g.is_monic or g.degree != self.k:
-            return False
-        return pr.monic_code(g) // self.size == self.base_code()
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,11 @@ class TypeCensus:
 # 0.25) and 187-402 us to factor a member (medians 216 and 223): a
 # break-even of 325-1450 codes a member.  The constants are rounded
 # medians.  Tables pay off from about 500 members, and past that while the
-# sieve stays under about 880 codes a member.
+# sieve stays under about 880 codes a member.  These figures were taken
+# when `polyring.factor` still split out every prime by equal-degree
+# splitting.  On a faster 2-core machine with the same Python and numpy,
+# that factorizer took medians of 99-129 us a member at these points, and
+# the degree-only `factor` takes 82-83 us; all three constants are kept.
 TABLE_START_US = 110_000
 SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
@@ -237,7 +240,7 @@ def _route(spec: FieldSpec, k: int, size: int, codes, members):
 
 
 def _census(spec: FieldSpec, k: int, size: int, codes, members) -> TypeCensus:
-    """Factorization-type census of `size` monic degree-k polynomials, given as in `_route`."""
+    """Census of the factorization types of `size` monic degree-k polynomials, given as in `_route`."""
     parts = partitions_of(k)
     pt, index = _route(spec, k, size, codes, members)
     if pt is None:
@@ -311,8 +314,7 @@ def poly_totient(d: Poly) -> int:
         raise ValueError("totient of the zero polynomial")
     q = d.spec.q
     result = 1
-    for prime, mult in pr.factor(d).factors:
-        deg = prime.degree
+    for deg, mult in pr.factor(d):
         result *= q ** (deg * (mult - 1)) * (q**deg - 1)
     return result
 
@@ -321,16 +323,13 @@ def von_mangoldt(g: Poly) -> int:
     """deg P when g is a unit times P^e (P irreducible, e >= 1); otherwise 0."""
     if g.is_zero:
         raise ValueError("von Mangoldt of the zero polynomial")
-    if g.degree < 1:
-        return 0
     fact = pr.factor(g)
-    if len(fact.factors) != 1:
-        return 0
-    return fact.factors[0][0].degree
+    return fact[0][0] if len(fact) == 1 else 0
 
 
 def nu(f: Poly, m: int) -> int:
     """Sum of the von Mangoldt function over interval members with nonzero constant term."""
+    check_center(f)
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
@@ -404,6 +403,7 @@ def nu_decomposition(f: Poly, m: int) -> NuDecomposition:
     epsilon.  (Verified against direct enumeration; the sign is pinned
     by the q=2, k=2, m=1 case where the filtered sum is 3 = 4 - 1.)
     """
+    check_center(f)
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")

@@ -111,7 +111,7 @@ def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Factorization-type tables
+# Tables of factorization types
 # ---------------------------------------------------------------------------
 
 class PolyTables:

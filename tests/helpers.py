@@ -1,8 +1,8 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here recomputes expected values from first principles
-(permutation census, direct member-by-member factoring, exact bivariate
-expansion) so the library paths they check against stay independent.
+(permutation census, direct member-by-member factoring, trial division)
+so the library paths they check against stay independent.
 """
 
 from itertools import permutations, product
@@ -68,42 +68,6 @@ def direct_nu(f, m):
     return total
 
 
-def expand_at_shift(f):
-    """Exact bivariate expansion of f(t + u) as {(i, j): coeff index of t^i u^j}.
-
-    Built by Horner over the two-variable polynomial t + u, so binomial
-    coefficients arise from repeated addition in the field rather than
-    from any derivative formula.
-    """
-    ft = gf.field_table(f.spec)
-    q = ft.q
-    add = ft.add
-    acc = {}
-    for c in reversed(f.ci):
-        new = {}
-        for (i, j), v in acc.items():
-            for di, dj in ((1, 0), (0, 1)):
-                key = (i + di, j + dj)
-                new[key] = add[new.get(key, 0) * q + v]
-        if c:
-            new[(0, 0)] = add[new.get((0, 0), 0) * q + c]
-        acc = {key: v for key, v in new.items() if v}
-    return acc
-
-
-def u_coefficient(expansion, j, spec):
-    """The coefficient of u^j in an expand_at_shift result, as a Poly."""
-    if expansion:
-        top = max(i for (i, jj) in expansion if jj == j) if any(jj == j for (_, jj) in expansion) else -1
-    else:
-        top = -1
-    ci = [0] * (top + 1)
-    for (i, jj), v in expansion.items():
-        if jj == j:
-            ci[i] = v
-    return pr.poly_from_indices(spec, ci)
-
-
 def brute_totient(d_poly):
     """Count residues of degree < deg D coprime to D by direct gcd."""
     spec = d_poly.spec
@@ -137,12 +101,11 @@ def irreducibles(spec, d):
 
 
 def factor_trial(f):
-    """Factorization by trial division over the irreducibles of each degree (small domains only)."""
+    """`polyring.factor` by trial division over the irreducibles of each degree (small domains only)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     spec = f.spec
-    unit = f.leading()
-    rem = pr.poly_mul(pr.constant_poly(spec, gf.fe_inv(spec, unit)), f)
+    rem = pr.poly_mul(pr.constant_poly(spec, gf.fe_inv(spec, f.leading())), f)
     found = []
     d = 1
     while 2 * d <= rem.degree:
@@ -155,14 +118,13 @@ def factor_trial(f):
                 rem = quot
                 mult += 1
             if mult:
-                found.append((cand, mult))
+                found.append((d, mult))
             if rem.degree < 2 * d:
                 break
         d += 1
     if rem.degree > 0:
-        found.append((rem, 1))
-    found.sort(key=lambda pm: (pm[0].degree, pr.monic_code(pm[0])))
-    return pr.Factorization(unit, tuple(found))
+        found.append((rem.degree, 1))
+    return tuple(sorted(found))
 
 
 def type_of_code(pt, d, code):

@@ -91,12 +91,3 @@ def test_type_counts_sum_to_qk():
             total = sum(comb.exact_type_count(q, k, lam) for lam in comb.partitions_of(k))
             assert total == q**k
 
-
-def test_divisor_excess():
-    assert comb.divisor_excess(6) == 6
-    assert comb.divisor_excess(1) == 0
-    for p in (2, 3, 5, 7, 11, 13):
-        assert comb.divisor_excess(p) == 1
-    # matches the defining sum over proper divisors
-    for k in range(1, 40):
-        assert comb.divisor_excess(k) == sum(k // d for d in comb.divisors(k) if d > 1)

@@ -7,7 +7,7 @@ from ffstat.combinatorics import exact_prime_count
 from ffstat.cli import parse_poly
 from ffstat.polyring import NEG_DEGREE
 
-from helpers import expand_at_shift, factor_trial, irreducibles, type_of_code, u_coefficient
+from helpers import factor_trial, irreducibles, type_of_code
 
 GRID_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 
@@ -74,67 +74,18 @@ def test_eval_examples(F2, F3):
 
 
 # ---------------------------------------------------------------------------
-# Hasse derivatives
-# ---------------------------------------------------------------------------
-
-def test_hasse_examples(F2, F3):
-    first, second = pr.hasse_derivatives(pr.monomial(F2, 3))
-    assert (first.ci, second.ci) == ((0, 0, 1), (0, 1))
-    first, second = pr.hasse_derivatives(pr.monomial(F2, 4))
-    assert first.is_zero and second.is_zero
-    first, second = pr.hasse_derivatives(pr.monomial(F3, 2))
-    assert (first.ci, second.ci) == ((0, 2), (1,))
-
-
-@pytest.mark.parametrize("p,nu", GRID_FIELDS)
-def test_hasse_defining_congruence(p, nu):
-    # f(t+u) - f - f'u - f2 u^2 has no u^0, u^1, u^2 terms, expanded exactly
-    spec = gf.make_field(p, nu)
-    for d in range(0, 7):
-        for code in range(min(spec.q**d, 120)):
-            f = pr.monic_from_code(spec, d, code) if d else pr.one_poly(spec)
-            expansion = expand_at_shift(f)
-            first, second = pr.hasse_derivatives(f)
-            assert u_coefficient(expansion, 0, spec) == f
-            assert u_coefficient(expansion, 1, spec) == first
-            assert u_coefficient(expansion, 2, spec) == second
-
-
-def test_hasse_odd_characteristic_relation():
-    # 2 * f^[2] = (f')' identically when p != 2
-    for p in (3, 5):
-        spec = gf.make_field(p, 1)
-        two = pr.constant_poly(spec, gf.element(spec, [2]))
-        for d in range(1, 6):
-            for code in range(min(spec.q**d, 150)):
-                f = pr.monic_from_code(spec, d, code)
-                _, second = pr.hasse_derivatives(f)
-                assert pr.poly_mul(two, second) == pr.derivative(pr.derivative(f))
-
-
-# ---------------------------------------------------------------------------
 # Factorization: exhaustive three-way agreement
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p,nu", GRID_FIELDS)
 def test_factor_exhaustive_grid(p, nu):
-    """Round-trip, type-table agreement and irreducibility, deg <= 6, exhaustive."""
+    """Degree sum, type-table agreement and irreducibility, deg <= 6, exhaustive."""
     spec = gf.make_field(p, nu)
     pt = tables.poly_tables(spec, 6)
     for d in range(1, 7):
         irr_found = 0
         for f in pr.all_monic(spec, d):
-            fact = pr.factor(f)
-            assert fact.expand_over(spec) == f
-            degs = set()
-            total_deg = 0
-            for prime, mult in fact.factors:
-                assert prime.is_monic
-                key = (prime.degree, pr.monic_code(prime))
-                assert key not in degs  # factors pairwise distinct
-                degs.add(key)
-                total_deg += prime.degree * mult
-            assert total_deg == d
+            assert sum(deg * mult for deg, mult in pr.factor(f)) == d
             lam = pr.factorization_type(f)
             assert lam == type_of_code(pt, d, pr.monic_code(f))
             irred = pr.is_irreducible(f)
@@ -152,21 +103,20 @@ def test_trial_backend_agrees(p, nu):
 
 
 def test_factor_examples(F2, F3):
-    fact = pr.factor(P(F2, 0, 0, 1, 0, 1))  # t^4 + t^2 = t^2 (t+1)^2
-    assert [(f.ci, e) for f, e in fact.factors] == [((0, 1), 2), ((1, 1), 2)]
-    fact = pr.factor(P(F3, 1, 0, 1))
-    assert len(fact.factors) == 1 and fact.factors[0][1] == 1
-    fact = pr.factor(P(F3, 2))
-    assert fact.factors == () and fact.unit == gf.element(F3, [2])
+    assert pr.factor(P(F2, 0, 0, 1, 0, 1)) == ((1, 2), (1, 2))  # t^4 + t^2 = t^2 (t+1)^2
+    assert pr.factor(P(F2, 0, 0, 1)) == ((1, 2),)  # t^2
+    assert pr.factor(P(F2, 0, 1, 1)) == ((1, 1), (1, 1))  # t(t+1)
+    assert pr.factor(P(F3, 1, 0, 1)) == ((2, 1),)  # t^2 + 1 is irreducible over F_3
+    assert pr.factor(P(F3, 2)) == ()
     with pytest.raises(ValueError):
         pr.factor(pr.zero_poly(F2))
 
 
 def test_factor_nonmonic_unit(F5):
     f = P(F5, 2, 0, 3)  # 3t^2 + 2
-    fact = pr.factor(f)
-    assert fact.unit == gf.element(F5, [3])
-    assert fact.expand_over(F5) == f
+    monic = pr.poly_mul(pr.constant_poly(F5, gf.element(F5, [2])), f)  # times 3^{-1} = 2
+    assert monic.ci == (4, 0, 1)  # t^2 - 1 = (t - 1)(t + 1)
+    assert pr.factor(f) == pr.factor(monic) == ((1, 1), (1, 1))
 
 
 def test_factorization_type_examples(F2):

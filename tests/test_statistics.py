@@ -30,8 +30,8 @@ def test_interval_membership(F2, F3):
     members = list(interval.members())
     assert len(members) == 9 == interval.size
     assert all(g.is_monic and g.degree == 3 for g in members)
-    assert interval.contains(P(F3, 2, 2, 0, 1))
-    assert not interval.contains(P(F3, 0, 0, 1, 1))
+    assert pr.monic_code(P(F3, 2, 2, 0, 1)) in interval.codes()
+    assert pr.monic_code(P(F3, 0, 0, 1, 1)) not in interval.codes()
 
 
 def test_interval_canonicalization(F3):
@@ -398,6 +398,11 @@ def test_nu_bounds(F3):
                 f = pr.monic_from_code(F3, k, base * 3 ** (m + 1))
                 value = st.nu(f, m)
                 assert 0 <= value <= k * 3 ** (m + 1)
+    # the center is checked before the m range, whose bound it gives
+    for center in (pr.zero_poly(F3), pr.one_poly(F3), P(F3, 0, 2)):
+        for check in (st.nu, st.nu_decomposition):
+            with pytest.raises(ValueError, match="interval center"):
+                check(center, 1)
 
 
 def test_ppt_identity_direct():
@@ -470,7 +475,7 @@ def test_radical_size_bound_small():
 def test_radical_members_verify(F3):
     interval = st.IntervalSpec(P(F3, 0, 0, 1, 0, 1), 1)  # t^4 + t^2, m = 1
     for g in st.radical_set(interval, 2):
-        assert interval.contains(pr.poly_pow(g, 2))
+        assert pr.monic_code(pr.poly_pow(g, 2)) in interval.codes()
 
 
 def test_nu_decomposition_hand_case(F2):
