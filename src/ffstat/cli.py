@@ -245,6 +245,7 @@ def cmd_interval(args, cfg):
 
     spec = _field_from_args(args)
     f = parse_poly(args.f, spec)
+    st.check_center(f)
     if args.k is not None and f.degree != args.k:
         raise ValueError(f"--k {args.k} does not match deg f = {f.degree}")
     interval = st.IntervalSpec(f, args.m)

@@ -1,4 +1,4 @@
-"""Arithmetic in the finite field F_q, q = p^nu.
+"""The finite field F_q, q = p^nu: construction, element forms and index tables.
 
 A field is described by a `FieldSpec` holding the characteristic p, the
 exponent nu and a canonical monic irreducible modulus of degree nu over
@@ -10,14 +10,18 @@ without external tables.
 Elements are digit vectors of length exactly nu over F_p, low-to-high
 relative to the modulus.  The text form is `[d0,d1,...]`; prime fields
 render a bare integer.  Elements also have a dense integer index in
-[0, q): the digits read as a base-p integer.  The index representation
-is what the bulk enumeration kernels use.
+[0, q): the digits read as a base-p integer.  All arithmetic runs on
+indices.
 
 `FieldTable` holds the flat add/mul/neg/inv/p-th-root tables over
 element indices that every polynomial operation reads; `field_table`
-builds one per field and keeps it.  Both are pure Python, so working in
-F_q[t] needs no numpy.  `DEFAULT_BUDGET` and `BudgetError` bound every
-enumeration; element tables stop at `TABLE_Q_LIMIT` with the same error.
+builds one per field and keeps it.  Addition is digit-wise; the rest
+comes from log tables, the powers of one generator of F_q^*.  The
+tables take about 16 bytes per element pair, and those at
+`TABLE_Q_LIMIT` = 2048 build in about 0.5 s.  Both are pure Python, so
+working in F_q[t] needs no numpy.  `DEFAULT_BUDGET` and `BudgetError`
+bound every enumeration; element tables stop at `TABLE_Q_LIMIT` with the
+same error.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers on plain int lists (used only for modulus search/reduction)
+# F_p[x] helpers on plain int lists (modulus search, a generator's powers)
 # ---------------------------------------------------------------------------
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -97,20 +101,16 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
     # b monic
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         c = a[-1]
         s = len(a) - len(b)
-        q[s] = c
         for i, bi in enumerate(b):
             a[s + i] = (a[s + i] - c * bi) % p
         _fp_trim(a)
-        if not a:
-            break
-    return _fp_trim(q), a
+    return a
 
 
 def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -121,7 +121,7 @@ def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
                 res[i + j] = (res[i + j] + ai * bj) % p
     _fp_trim(res)
     if len(res) >= len(mod):
-        _, res = _fp_divrem(res, mod, p)
+        res = _fp_rem(res, mod, p)
     return res
 
 
@@ -138,8 +138,7 @@ def _fp_irreducible(mod: list[int], p: int) -> bool:
                 div[i] = c % p
                 c //= p
             div[d] = 1
-            _, r = _fp_divrem(mod, div, p)
-            if not r:
+            if not _fp_rem(mod, div, p):
                 return False
     return True
 
@@ -191,14 +190,6 @@ def element(spec: FieldSpec, digits) -> FieldElement:
     return FieldElement(tuple(ds))
 
 
-def one(spec: FieldSpec) -> FieldElement:
-    return FieldElement((1,) + (0,) * (spec.nu - 1))
-
-
-def is_zero(a: FieldElement) -> bool:
-    return all(d == 0 for d in a.coeffs)
-
-
 def element_index(spec: FieldSpec, a: FieldElement) -> int:
     """Digits read as a base-p integer."""
     idx = 0
@@ -217,106 +208,9 @@ def element_from_index(spec: FieldSpec, idx: int) -> FieldElement:
     return FieldElement(tuple(ds))
 
 
-def all_elements(spec: FieldSpec):
-    """All q elements in index order."""
-    for idx in range(spec.q):
-        yield element_from_index(spec, idx)
-
-
-def _check(spec: FieldSpec, a: FieldElement) -> None:
-    if len(a.coeffs) != spec.nu:
-        raise ValueError("element does not belong to this FieldSpec")
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic
-# ---------------------------------------------------------------------------
-
-def fe_add(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    _check(spec, a)
-    _check(spec, b)
-    p = spec.p
-    return FieldElement(tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def fe_neg(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    _check(spec, a)
-    p = spec.p
-    return FieldElement(tuple((-x) % p for x in a.coeffs))
-
-
-def fe_mul(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    _check(spec, a)
-    _check(spec, b)
-    p = spec.p
-    if spec.nu == 1:
-        return FieldElement(((a.coeffs[0] * b.coeffs[0]) % p,))
-    res = _fp_mulmod(list(a.coeffs), list(b.coeffs), list(spec.modulus), p)
-    res += [0] * (spec.nu - len(res))
-    return FieldElement(tuple(res))
-
-
-def fe_inv(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    _check(spec, a)
-    if is_zero(a):
-        raise ZeroDivisionError("inverse of zero field element")
-    p = spec.p
-    if spec.nu == 1:
-        return FieldElement((pow(a.coeffs[0], p - 2, p),))
-    # extended Euclid in F_p[x] against the modulus
-    r0, r1 = list(spec.modulus), _fp_trim(list(a.coeffs))
-    s0, s1 = [], [1]
-    while r1:
-        lead_inv = pow(r1[-1], p - 2, p)
-        monic_r1 = [(c * lead_inv) % p for c in r1]
-        q, r = _fp_divrem(r0, monic_r1, p)
-        q = [(c * lead_inv) % p for c in q]
-        qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs1[i + j] = (qs1[i + j] + qi * sj) % p
-        new_s = [0] * max(len(s0), len(qs1))
-        for i, c in enumerate(s0):
-            new_s[i] = c
-        for i, c in enumerate(qs1):
-            new_s[i] = (new_s[i] - c) % p
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_trim(new_s)
-    # r0 = gcd, a nonzero constant (modulus irreducible)
-    c_inv = pow(r0[0], p - 2, p)
-    res = [(c * c_inv) % p for c in s0]
-    if len(res) >= spec.nu + 1:
-        _, res = _fp_divrem(res, list(spec.modulus), p)
-    res += [0] * (spec.nu - len(res))
-    return FieldElement(tuple(res[: spec.nu]))
-
-
-def fe_pow(spec: FieldSpec, a: FieldElement, n: int) -> FieldElement:
-    """a**n by square-and-multiply, with 0**0 = 1."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    result = one(spec)
-    base = a
-    while n:
-        if n & 1:
-            result = fe_mul(spec, result, base)
-        n >>= 1
-        if n:
-            base = fe_mul(spec, base, base)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Text form
 # ---------------------------------------------------------------------------
-
-def element_to_text(spec: FieldSpec, a: FieldElement) -> str:
-    """`[d0,d1,...]` digits low-to-high; prime fields emit a bare integer."""
-    _check(spec, a)
-    return element_texts(spec)[element_index(spec, a)]
-
 
 @lru_cache(maxsize=None)
 def element_texts(spec: FieldSpec) -> tuple[str, ...]:
@@ -332,8 +226,35 @@ def element_texts(spec: FieldSpec) -> tuple[str, ...]:
 # Index tables
 # ---------------------------------------------------------------------------
 
+def _generator_powers(spec: FieldSpec) -> list[int]:
+    """Indices of g^0, ..., g^{q-2} for the least-index generator g of F_q^*."""
+    p, q, mod = spec.p, spec.q, list(spec.modulus)
+    for g in range(1, q):
+        g_digits = _fp_trim([g // p**i % p for i in range(spec.nu)])
+        powers, power = [1], [1]
+        while True:
+            power = _fp_mulmod(power, g_digits, mod, p)
+            idx = sum(d * p**i for i, d in enumerate(power))
+            if idx == 1:
+                break
+            powers.append(idx)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError("F_q^* has no generator")  # unreachable: F_q^* is cyclic
+
+
 class FieldTable:
-    """Flat add/mul/neg/inv tables over element indices."""
+    """Flat add/mul/neg/inv/p-th-root tables over element indices.
+
+    `add` and `mul` are q*q flat lists, entry a*q + b for the pair (a, b).
+    Addition is digit-wise mod p, built one base-p digit at a time;
+    multiplication, inverses and p-th roots read the discrete logarithms
+    of the least-index generator g of F_q^* (Zech/log tables):
+    a*b = g^(log a + log b), 1/a = g^(-log a), a^(1/p) = g^(log a * q/p).
+    Every entry is one of q shared int objects, so the tables take about
+    16 bytes per element pair: 64 MB at q = `TABLE_Q_LIMIT` = 2048, built
+    in about 0.5 s.
+    """
 
     __slots__ = ("spec", "q", "add", "mul", "neg", "inv", "pth_root")
 
@@ -343,24 +264,42 @@ class FieldTable:
             raise BudgetError(f"element tables unsupported for q = {q} > {TABLE_Q_LIMIT}")
         self.spec = spec
         self.q = q
-        elems = list(all_elements(spec))
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for i in range(q):
-            for j in range(i, q):
-                s = element_index(spec, fe_add(spec, elems[i], elems[j]))
-                m = element_index(spec, fe_mul(spec, elems[i], elems[j]))
-                add[i * q + j] = add[j * q + i] = s
-                mul[i * q + j] = mul[j * q + i] = m
+        p = spec.p
+        ints = list(range(q))
+        # indices < n summed digit-wise; each pass puts one more digit on top
+        add, n = [0], 1
+        for _ in range(spec.nu):
+            blocks = [ints[h * n:(h + 1) * n] for h in range(p)]  # top digit h
+            wheels = []  # per low part: its sums with every top digit, in digit order
+            for lo in range(n):
+                sums = add[lo * n:(lo + 1) * n]
+                wheel = []
+                for block in blocks:
+                    wheel += map(block.__getitem__, sums)
+                wheels.append(wheel)
+            add = []
+            for hi in range(p):  # the row of lo + n*hi starts at top digit hi
+                for wheel in wheels:
+                    add += wheel[hi * n:]
+                    add += wheel[:hi * n]
+            n *= p
         self.add = add
+        self.neg = [ints[add.index(0, a * q) - a * q] for a in range(q)]
+        m = q - 1
+        exp = [ints[e] for e in _generator_powers(spec)]
+        log = [0] * q
+        for k, e in enumerate(exp):
+            log[e] = k
+        exp += exp  # so a window of q - 1 powers from any log never wraps
+        logs = log[1:]
+        mul = [0] * q
+        for a in range(1, q):
+            powers = exp[log[a]:log[a] + m]  # a*g^k for k = 0 .. q-2
+            mul.append(0)
+            mul += map(powers.__getitem__, logs)
         self.mul = mul
-        self.neg = [element_index(spec, fe_neg(spec, e)) for e in elems]
-        self.inv = [0] + [element_index(spec, fe_inv(spec, e)) for e in elems[1:]]
-        frob = [element_index(spec, fe_pow(spec, e, spec.p)) for e in elems]
-        pth_root = [0] * q
-        for i, fi in enumerate(frob):
-            pth_root[fi] = i
-        self.pth_root = pth_root
+        self.inv = [0] + [exp[-log[a] % m] for a in range(1, q)]
+        self.pth_root = [0] + [exp[log[a] * (q // p) % m] for a in range(1, q)]
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,9 @@
 """Polynomial arithmetic over F_q[t] and factorization into prime degrees.
 
 A `Poly` stores its field spec and a trimmed tuple of coefficient
-*indices* (see `gf.element_index`), low-to-high; the `coeffs` property
-materializes `FieldElement`s on demand.  The zero polynomial has degree
-`NEG_DEGREE`, a marker ordered below every integer, so conditions like
-"deg f' <= 1" hold for a vanishing derivative.
+*indices* (see `gf.element_index`), low-to-high.  The zero polynomial
+has degree `NEG_DEGREE`, a marker ordered below every integer, so
+conditions like "deg f' <= 1" hold for a vanishing derivative.
 
 A monic polynomial of degree d has a code: the base-q integer of its d
 lower coefficient indices, the leading 1 left implicit
@@ -51,15 +50,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.ci) and self.ci[-1] == 1
 
-    @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        return tuple(gf.element_from_index(self.spec, i) for i in self.ci)
-
-    def leading(self) -> FieldElement:
-        if not self.ci:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return gf.element_from_index(self.spec, self.ci[-1])
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.spec == other.spec and self.ci == other.ci
 
@@ -93,10 +83,6 @@ def poly_from_indices(spec: FieldSpec, indices) -> Poly:
 
 def poly_from_elements(spec: FieldSpec, elements) -> Poly:
     return Poly(spec, _trim([gf.element_index(spec, e) for e in elements]))
-
-
-def zero_poly(spec: FieldSpec) -> Poly:
-    return Poly(spec, ())
 
 
 def one_poly(spec: FieldSpec) -> Poly:
@@ -319,32 +305,12 @@ def poly_pow(a: Poly, n: int) -> Poly:
     return Poly(spec, result)
 
 
-def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact division with remainder: a = q*b + r, deg r < deg b."""
-    spec = _same_spec(a, b)
-    q, r = _divrem_idx(gf.field_table(spec), a.ci, b.ci)
-    return Poly(spec, q), Poly(spec, r)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; rejects gcd(0, 0)."""
     spec = _same_spec(a, b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     return Poly(spec, _gcd_idx(gf.field_table(spec), a.ci, b.ci))
-
-
-def poly_eval(f: Poly, x: FieldElement) -> FieldElement:
-    """Horner evaluation."""
-    spec = f.spec
-    ft = gf.field_table(spec)
-    q = ft.q
-    addT, mulT = ft.add, ft.mul
-    xi = gf.element_index(spec, x)
-    acc = 0
-    for c in reversed(f.ci):
-        acc = addT[mulT[acc * q + xi] * q + c]
-    return gf.element_from_index(spec, acc)
 
 
 def derivative(f: Poly) -> Poly:

@@ -272,7 +272,7 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         raise ValueError("need deg f > deg g + m")
     # scaling by the inverse leading coefficient changes neither gcds nor types
     if not f.is_monic:
-        scale = pr.constant_poly(spec, gf.fe_inv(spec, f.leading()))
+        scale = Poly(spec, (gf.field_table(spec).inv[f.ci[-1]],))
         f = pr.poly_mul(f, scale)
         g = pr.poly_mul(g, scale)
     if g.degree == 0:  # f + g*h runs over the whole interval around f

@@ -1,8 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here recomputes expected values from first principles
-(permutation census, direct member-by-member factoring, trial division)
-so the library paths they check against stay independent.
+(permutation census, direct member-by-member factoring, trial division,
+digit-vector field arithmetic) so the library paths they check against
+stay independent.
 """
 
 from itertools import permutations, product
@@ -100,19 +101,44 @@ def irreducibles(spec, d):
     return _IRR_CACHE[key]
 
 
+def fe_add(spec, a, b):
+    """Sum of two `FieldElement`s, digit by digit mod p."""
+    return gf.FieldElement(tuple((x + y) % spec.p for x, y in zip(a.coeffs, b.coeffs, strict=True)))
+
+
+def fe_mul(spec, a, b):
+    """Product of two `FieldElement`s: schoolbook product, then reduction by the monic modulus."""
+    nu = spec.nu
+    prod = [0] * (2 * nu - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    for top in range(2 * nu - 2, nu - 1, -1):  # t^top = t^top - t^(top-nu) * modulus
+        c = prod[top]
+        for i, m in enumerate(spec.modulus):
+            prod[top - nu + i] -= c * m
+    return gf.FieldElement(tuple(c % spec.p for c in prod[:nu]))
+
+
+def poly_divrem(a, b):
+    """The library's division kernel on `Poly`s: a = quot*b + rem with deg rem < deg b."""
+    quot, rem = pr._divrem_idx(gf.field_table(a.spec), a.ci, b.ci)
+    return pr.Poly(a.spec, quot), pr.Poly(a.spec, rem)
+
+
 def factor_trial(f):
     """`polyring.factor` by trial division over the irreducibles of each degree (small domains only)."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     spec = f.spec
-    rem = pr.poly_mul(pr.constant_poly(spec, gf.fe_inv(spec, f.leading())), f)
+    rem = pr.poly_mul(pr.Poly(spec, (gf.field_table(spec).inv[f.ci[-1]],)), f)
     found = []
     d = 1
     while 2 * d <= rem.degree:
         for cand in irreducibles(spec, d):
             mult = 0
             while True:
-                quot, r = pr.poly_divrem(rem, cand)
+                quot, r = poly_divrem(rem, cand)
                 if not r.is_zero:
                     break
                 rem = quot

@@ -257,13 +257,15 @@ def test_contract_holes_exit_2(capsys):
         cases += [line.split(), line.split() + ["--dry-run"]]
     for argv in cases:
         _assert_usage_error(run(capsys, argv))
-    # a center that is not monic of degree >= 1 is named before the m range is checked
+    # a center that is not monic of degree >= 1 is named before the m range or --k is checked
     for center in ("0", "1"):
-        argv = ["nu", "--p", "2", "--f", center, "--m", "1"]
-        for case in (argv, argv + ["--dry-run"]):
-            result = run(capsys, case)
-            _assert_usage_error(result)
-            assert "interval center" in result[2], result[2]
+        nu = ["nu", "--p", "2", "--f", center, "--m", "1"]
+        interval = ["interval", "--p", "2", "--k", "2", "--m", "1", "--f", center, "--lambda", "2"]
+        for argv in (nu, interval):
+            for case in (argv, argv + ["--dry-run"]):
+                result = run(capsys, case)
+                _assert_usage_error(result)
+                assert "interval center" in result[2], result[2]
     # argparse's own errors exit from the parser
     for argv in (["pi", "--p", "2", "--k", "3", "--threads", "0"], ["pi", "--p", "2", "--k", "x"], ["no-such-command"]):
         with pytest.raises(SystemExit) as exc:
