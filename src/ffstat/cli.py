@@ -269,7 +269,8 @@ def cmd_progression(args, cfg):
     params = {"D": pr.poly_text(d_poly), "f": pr.poly_text(f), "k": args.k}
     if lam is not None:
         params["lambda"] = str(lam)
-    return spec, params, (1, prog.size), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
+    work = st.progression_route(prog)[1]  # of the route the census takes: ring pair products, or members
+    return spec, params, (1, work), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
 
 
 def cmd_nu(args, cfg):

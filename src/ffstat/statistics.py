@@ -4,7 +4,7 @@ Short intervals I(f, m) = f + {polynomials of degree <= m} and residue
 classes {f + D*g} are the two enumeration domains.  Both are
 specializations f + g*h, deg h <= m: the interval is g = 1, a contiguous
 block of codes, and the degree-k members of f mod D are (f + D*t^r) + D*h
-with deg h < r = k - deg D.  Every census takes one of two routes,
+with deg h < r = k - deg D.  A census takes one of two member routes,
 chosen by one rule in `census_tables`: a lookup of its members' codes
 (listed by `tables.member_codes`) in the field's type tables, or
 factoring each member, built by polynomial arithmetic, with `polyring`.
@@ -12,11 +12,19 @@ Tables already built are always used; new ones are built only when
 importing numpy and sieving them is estimated to cost no more than
 factoring every member.  The censuses of all q^k monic polynomials of
 degree k, summed per interval by `block_sums` for `mean_variance_nu` and
-`verify.scan_intervals`, take the same rule.  The two routes give the
-same counts and are cross-checked in the tests.  `tables`, and with it
-numpy, is imported only once the rule has picked the table route, so
-totients, radical sets, the nu decomposition and every census that
-factors never load it.
+`verify.scan_intervals`, take the same rule.
+
+A residue class has a third route that lists no members: `ResidueRing`
+counts every class mod D at once in the monoid ring Z[F_q[t]/D], from
+the zeta function of F_q[t], at a cost set by deg D rather than by the
+q^(k - deg D) members.  `progression_route` takes it when
+`ring_is_cheapest` prices it below both member routes, whatever tables
+are built; `verify.scan_progressions` prices one ring a modulus against
+tables.  The three routes give the same counts and are cross-checked in
+the tests.  `tables`, and with it numpy, is imported only once the rule
+has picked the table route, so totients, radical sets, the nu
+decomposition, every ring census and every census that factors never
+load it.
 """
 
 from __future__ import annotations
@@ -180,6 +188,11 @@ SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
 
 
+def _table_us(q: int, k: int) -> float:
+    """Estimated microseconds to import numpy and `tables` and sieve every code of degree 1..k."""
+    return TABLE_START_US + SIEVE_US_PER_CODE * sum(q**d for d in range(1, k + 1))
+
+
 def census_tables(spec: FieldSpec, k: int, members: int, budget: int = DEFAULT_BUDGET) -> tables.PolyTables | None:
     """The route for a census of `members` monic degree-k polynomials.
 
@@ -198,9 +211,7 @@ def census_tables(spec: FieldSpec, k: int, members: int, budget: int = DEFAULT_B
         pt = tables.cached_poly_tables(spec, k)
         if pt is not None:
             return pt
-    q = spec.q
-    table_us = TABLE_START_US + SIEVE_US_PER_CODE * sum(q**d for d in range(1, k + 1))
-    if q**k > budget or table_us > FACTOR_US_PER_MEMBER * members:
+    if spec.q**k > budget or _table_us(spec.q, k) > FACTOR_US_PER_MEMBER * members:
         return None
     from ffstat import tables
 
@@ -251,6 +262,209 @@ def _census(spec: FieldSpec, k: int, size: int, codes, members) -> TypeCensus:
     return TypeCensus(k, {lam: n for lam, n in zip(parts, counts) if n})
 
 
+# ---------------------------------------------------------------------------
+# The residue ring
+# ---------------------------------------------------------------------------
+
+# The ring route pays for each pair product it may multiply: q^(2 delta)
+# for R's multiplication table and for each convolution, in pure Python,
+# so it has no start-up.  `python tools/route_costs.py` measures it at six
+# (q, delta, k) points, whole censuses and prime counts, on 5 moduli each.
+# Two runs on the 2-core machine and versions above gave 0.048-0.176 us a
+# projected pair product, median 0.126 (start-up 115 ms and factoring
+# 151-293 us a member in the same run), and 0.032-0.152, median 0.095.
+# The constant is the first median, rounded.  Sparse vectors (the Z_i,
+# psi_n of small n) make a real convolution cheaper than its q^(2 delta),
+# so large moduli sit at the low end.
+RING_US_PER_PRODUCT = 0.12
+
+
+def ring_products(q: int, delta: int, lams) -> int:
+    """Pair products of `ResidueRing.type_counts` for these partitions, modulus degree delta.
+
+    The table takes q^(2 delta) and so does each convolution: for n up to
+    the largest part, psi_n takes one with the tail sum when n > delta and
+    one with each Z_i, 0 < i < delta, that its recurrence reads; H_{d,m}
+    takes m - 1; and each partition one per part size after its first.
+    """
+    mults, top = _part_sizes(lams)
+    convolutions = sum((n > delta) + min(n - 1, delta - 1) for n in range(1, max(top) + 1))
+    convolutions += sum(m * (m - 1) // 2 for m in top.values())
+    convolutions += sum(len(mult) - 1 for mult in mults.values())
+    return q ** (2 * delta) * (1 + convolutions)
+
+
+def _part_sizes(lams) -> tuple[dict[Partition, dict[int, int]], dict[int, int]]:
+    """The multiplicity of each part size in each partition, and the largest over all of them."""
+    mults = {lam: lam.multiplicities() for lam in lams}
+    top: dict[int, int] = {}
+    for mult in mults.values():
+        for d, m in mult.items():
+            top[d] = max(top.get(d, 0), m)
+    return mults, top
+
+
+def ring_is_cheapest(q: int, k: int, products: int, members: int | None = None) -> bool:
+    """Whether `products` ring pair products cost no more than type tables for degree k, nor than factoring `members`.
+
+    Compares RING_US_PER_PRODUCT * products with the table and factoring
+    costs of `census_tables`; `members` is None where no census factors,
+    as in `verify.scan_progressions`.  The route thus depends on the query
+    alone, not on the tables already built.
+    """
+    ring_us = RING_US_PER_PRODUCT * products
+    return ring_us <= _table_us(q, k) and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members)
+
+
+def residue_code(f: Poly) -> int:
+    """The code of a residue of degree < deg D: the base-q integer of its coefficient indices, low first."""
+    q = f.spec.q
+    return sum(c * q**i for i, c in enumerate(f.ci))
+
+
+class ResidueRing:
+    """The monoid ring Z[R] of R = F_q[t]/D, delta = deg D >= 1, in exact Python ints.
+
+    An element is a list of q^delta integers indexed by `residue_code`,
+    and `rows[a][b]` is the code of a*b mod D.  The zeta function of
+    F_q[t] pushed into Z[R], Z(u) = sum over monic g of [g mod D] u^deg g
+    = prod over primes P of 1/(1 - [P mod D] u^deg P), has known
+    coefficients: Z_n is the sum of the monic residues of degree n when
+    n < delta and q^(n - delta) times the sum of all residues when
+    n >= delta.  Its logarithmic derivative gives psi_n, the sum of
+    Lambda(g) [g mod D] over monic g of degree n; taking the proper prime
+    powers out of psi_d leaves the primes of degree d per class; Newton's
+    identity gives the multisets of primes of one degree, hence each
+    factorization type per class (Rosen, Number Theory in Function
+    Fields, ch. 4).
+    """
+
+    def __init__(self, d_poly: Poly):
+        if not d_poly.is_monic or d_poly.degree < 1:
+            raise ValueError("modulus must be monic of degree >= 1")
+        spec = d_poly.spec
+        self.q = spec.q
+        self.delta = d_poly.degree
+        self.size = spec.q**self.delta
+        self.rows = _ring_rows(gf.field_table(spec), d_poly.ci)
+        self._powers = [list(range(self.size))]  # _powers[e - 1][r] = the code of r^e
+
+    def conv(self, a: list[int], b: list[int]) -> list[int]:
+        """The product a*b in Z[R]."""
+        out = [0] * self.size
+        support = [(j, y) for j, y in enumerate(b) if y]
+        for x, row in zip(a, self.rows):
+            if x:
+                for j, y in support:
+                    out[row[j]] += x * y
+        return out
+
+    def push(self, v: list[int], e: int) -> list[int]:
+        """The image of v under r -> r^e."""
+        while len(self._powers) < e:  # r^n = r * r^(n-1)
+            self._powers.append([row[p] for row, p in zip(self.rows, self._powers[-1])])
+        out = [0] * self.size
+        for x, r in zip(v, self._powers[e - 1]):
+            if x:
+                out[r] += x
+        return out
+
+    def psi(self, top: int) -> list[list[int]]:
+        """[None, psi_1, ..., psi_top] from n Z_n = sum_{j=1..n} Z_{n-j} psi_j.
+
+        The terms with n - j >= delta sum to (all residues) * W_n with
+        W_n = q W_(n-1) + psi_(n-delta), one convolution; the others read
+        the sparse Z_i, 0 < i < delta.
+        """
+        q, delta, size = self.q, self.delta, self.size
+        zeta = []
+        for n in range(delta):  # the monic residues of degree n have codes q^n .. 2 q^n - 1
+            z = [0] * size
+            z[q**n : 2 * q**n] = [1] * q**n
+            zeta.append(z)
+        everything = [1] * size
+        tail = [0] * size
+        psi: list = [None]
+        for n in range(1, top + 1):
+            acc = [n * x for x in zeta[n]] if n < delta else [n * q ** (n - delta)] * size
+            if n > delta:
+                tail = [q * w + x for w, x in zip(tail, psi[n - delta])]
+                acc = [x - y for x, y in zip(acc, self.conv(tail, everything))]
+            for j in range(max(1, n - delta + 1), n):
+                acc = [x - y for x, y in zip(acc, self.conv(psi[j], zeta[n - j]))]
+            psi.append(acc)
+        return psi
+
+    def type_counts(self, k: int, lams) -> dict[Partition, list[int]]:
+        """For each partition lam of k, the monic degree-k g of type lam counted per class of g mod D.
+
+        psi_n, the primes of each degree and the multisets H_{d,m} are
+        computed once and shared by every lam.
+        """
+        mults, top = _part_sizes(lams)
+        psi = self.psi(max(top))
+        primes: dict[int, list[int]] = {}
+        for d in range(1, max(top) + 1):  # psi_d = sum over e | d of e * push(primes of degree e, d/e)
+            acc = psi[d]
+            for e in divisors(d)[:-1]:
+                acc = [x - e * y for x, y in zip(acc, self.push(primes[e], d // e))]
+            primes[d] = [x // d for x in acc]
+        multisets = {d: self._multisets(primes[d], m) for d, m in top.items()}
+        out = {}
+        for lam, mult in mults.items():
+            vec = None
+            for d, m in mult.items():
+                vec = multisets[d][m] if vec is None else self.conv(vec, multisets[d][m])
+            out[lam] = vec
+        return out
+
+    def _multisets(self, primes: list[int], top: int) -> list[list[int]]:
+        """[H_0, ..., H_top], H_m the multisets of m of these primes by class, from m H_m = sum_{j=1..m} p_j H_(m-j).
+
+        p_j is the image of the primes under r -> r^j; H_0 is the class of 1.
+        """
+        power_sums = [None] + [self.push(primes, j) for j in range(1, top + 1)]
+        one = [0] * self.size
+        one[1] = 1
+        out = [one]
+        for m in range(1, top + 1):
+            acc = power_sums[m]  # the j = m term, p_m H_0
+            for j in range(1, m):
+                acc = [x + y for x, y in zip(acc, self.conv(power_sums[j], out[m - j]))]
+            out.append([x // m for x in acc])
+        return out
+
+
+def _ring_rows(ft: gf.FieldTable, d_ci) -> list[list[int]]:
+    """rows[a][b] = the code of a*b mod D, for residue codes a, b < q^delta.
+
+    Row a lists the products a * (sum_j b_j t^j) in b-code order, one
+    output digit at a time: each digit list grows by a factor q per b_j,
+    adding b_j times digit i of a t^j mod D.
+    """
+    q, delta = ft.q, len(d_ci) - 1
+    add_rows = [ft.add[s * q : (s + 1) * q] for s in range(q)]  # add_rows[s][x] = x + s
+    mul_rows = [ft.mul[c * q : (c + 1) * q] for c in range(q)]  # mul_rows[c][x] = c * x
+    reduce_rows = [mul_rows[ft.neg[c]] for c in d_ci[:-1]]  # t^delta = -(d_0 + ... + d_(delta-1) t^(delta-1))
+    rows = []
+    for a in range(q**delta):
+        u = list(pr.code_to_coeffs(a, delta, q)[:-1])  # a t^j mod D, starting at j = 0
+        digits = [[0] for _ in range(delta)]
+        for _ in range(delta):
+            for i in range(delta):
+                scaled = [add_rows[row[u[i]]] for row in mul_rows]  # x -> x + b_j u_i, b_j = 0 .. q-1
+                digits[i] = [shift[x] for shift in scaled for x in digits[i]]
+            top = u[-1]
+            u = [0] + u[:-1]
+            if top:
+                u = [add_rows[row[top]][x] for x, row in zip(u, reduce_rows)]
+        code = digits[-1]
+        for column in reversed(digits[:-1]):
+            code = [c * q + x for c, x in zip(code, column)]
+        rows.append(code)
+    return rows
+
+
 def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
     """Census of factorization types of f + g*h over all h with deg h <= m.
 
@@ -299,9 +513,26 @@ def interval_counts(interval: IntervalSpec) -> TypeCensus:
     return specialization_counts(interval.f, pr.one_poly(interval.spec), interval.m)
 
 
+def progression_route(prog: ProgressionSpec) -> tuple[bool, int]:
+    """Whether the ring counts this census, and the work of its route: ring pair products, or else members."""
+    products = ring_products(prog.spec.q, prog.D.degree, partitions_of(prog.k))
+    if ring_is_cheapest(prog.spec.q, prog.k, products, prog.size):
+        return True, products
+    return False, prog.size
+
+
 def progression_counts(prog: ProgressionSpec) -> TypeCensus:
-    """Census over the monic degree-k members of a residue class."""
-    return _census(prog.spec, prog.k, prog.size, prog.codes, prog.members)
+    """Census over the monic degree-k members of a residue class.
+
+    The ring route reads the class of f from `ResidueRing.type_counts`;
+    the others list the members as `_census` does.
+    """
+    if not progression_route(prog)[0]:
+        return _census(prog.spec, prog.k, prog.size, prog.codes, prog.members)
+    parts = partitions_of(prog.k)
+    classes = ResidueRing(prog.D).type_counts(prog.k, parts)
+    f = residue_code(prog.f)
+    return TypeCensus(prog.k, {lam: classes[lam][f] for lam in parts if classes[lam][f]})
 
 
 # ---------------------------------------------------------------------------

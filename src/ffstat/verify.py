@@ -10,11 +10,14 @@ a-priori bound is asserted; instead the normalized empirical constant
 Scans run in one thread and visit cells in order, so reports are
 deterministic; `ScanOptions.workers` is accepted and ignored.  An
 interval scan counts all q^k monic polynomials of degree k by the census
-route of `statistics.census_tables`, so a small one factors its members;
-a progression scan always builds type tables.  `tables`, and with it
-numpy, is imported only inside the functions that build or read tables,
-so the hypothesis checks, the counterexamples and small interval scans
-never load it.  The command line imports this module only for the
+route of `statistics.census_tables`, so a small one factors its members.
+A progression scan counts each modulus' classes at once, in one
+`statistics.ResidueRing` a modulus, when the rings it may build are
+priced no dearer than type tables for degree k, and otherwise reads its
+cells from tables.  `tables`, and with it numpy, is imported only inside
+the functions that build or read tables, so the hypothesis checks, the
+counterexamples, small interval scans and progression scans with small
+moduli never load it.  The command line imports this module only for the
 subcommands that run it.
 """
 
@@ -282,7 +285,11 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     Cells are (D, f) pairs with f a coprime residue, in (D-code, f-code)
     order, optionally truncated after `max_cells` cells (deterministic
     prefix, never sampled).  Each cell's count is compared to the exact
-    rational pi_q(k; lam) / phi(D).
+    rational pi_q(k; lam) / phi(D).  The counts of one D come from its
+    `statistics.ResidueRing`, built at its first cell, when the rings the
+    scan may reach, at most one a cell, are priced no dearer than type
+    tables for degree k (`statistics.ring_is_cheapest`); otherwise each
+    cell reads its members' codes in the tables.
     """
     opts = options or ScanOptions()
     delta = k - m - 1
@@ -303,20 +310,38 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
             f"projected enumeration of {projected_cells} cells x {block} members "
             f"exceeds the budget {opts.budget}"
         )
-    from ffstat import tables
+    # one ring a modulus, for each D the scan reaches
+    rings = q**delta if opts.max_cells is None else min(q**delta, opts.max_cells)
+    if st.ring_is_cheapest(q, k, rings * st.ring_products(q, delta, [lam])):
+        def counter(d_poly):
+            classes = st.ResidueRing(d_poly).type_counts(k, [lam])[lam]
+            return lambda f_poly: classes[st.residue_code(f_poly)]
+    else:
+        from ffstat import tables
 
-    pt = tables.poly_tables(spec, k, opts.budget)
-    pid = pt.pid_of(lam)
+        pt = tables.poly_tables(spec, k, opts.budget)
+        pid = pt.pid_of(lam)
+        types = pt.types[k]
+
+        def counter(d_poly):
+            d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
+            d_rows = tables.multiplier_rows(pt.field, d_poly.ci, m, k)  # h -> D*h, shared by every residue f
+
+            def count(f_poly):
+                # members f + D*g, g monic of degree m + 1, are (f + D*t^(m+1)) + D*h over deg h <= m
+                top = pr.poly_add(f_poly, d_shifted)
+                return int((types[tables.member_codes(pt.field, top.ci, d_rows)] == pid).sum())
+
+            return count
+
     pi_lam = exact_type_count(q, k, lam)
-    types = pt.types[k]
     agg = _Aggregator()
     rows: Optional[list[CellRecord]] = [] if opts.per_cell else None
     truncated = False
     for dcode in range(q**delta):
         d_poly = pr.monic_from_code(spec, delta, dcode)
         phi = st.poly_totient(d_poly)
-        d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
-        d_rows = tables.multiplier_rows(pt.field, d_poly.ci, m, k)  # h -> D*h, shared by every residue f
+        count_of = None  # built at the first cell of D, so a scan that stops at D builds nothing for it
         for fcode in range(q**delta):
             f_poly = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
@@ -324,9 +349,9 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
             if opts.max_cells is not None and agg.cells >= opts.max_cells:
                 truncated = True
                 break
-            # members f + D*g, g monic of degree m + 1, are (f + D*t^(m+1)) + D*h over deg h <= m
-            top = pr.poly_add(f_poly, d_shifted)
-            count = int((types[tables.member_codes(pt.field, top.ci, d_rows)] == pid).sum())
+            if count_of is None:
+                count_of = counter(d_poly)
+            count = count_of(f_poly)
             status = _classify_progression(spec, m, d_poly, f_poly).status
             agg.add([count], pi_lam, phi, status)
             if rows is not None:

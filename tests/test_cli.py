@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ffstat import statistics as st
 from ffstat.cli import CSV_HEADER, main, parse_partition, parse_poly
+from ffstat.combinatorics import exact_prime_count, partitions_of
+from ffstat.gf import DEFAULT_BUDGET
 
 
 def run(capsys, argv):
@@ -118,6 +121,28 @@ def test_budget_error_exit(capsys):
         ["scan-intervals", "--p", "3", "--nu", "1", "--k", "6", "--m", "1", "--lambda", "6", "--budget", "100"],
     )
     assert code == 2 and "budget" in err
+
+
+def test_progression_budget_prices_the_ring(capsys):
+    # degree 20 mod t^2 + 1 over F_3: 3^18 members, far over the default budget, but the ring's work is not
+    argv = ["progression", "--p", "3", "--k", "20", "--D", "1,0,1", "--f", "1"]
+    products = st.ring_products(3, 2, partitions_of(20))
+    assert products < DEFAULT_BUDGET < 3**18
+    env = run_json(capsys, argv + ["--dry-run"])
+    assert env["result"] == {"projected_cells": 1, "projected_enumeration": products}
+    env = run_json(capsys, argv + ["--budget", str(products)])
+    assert env["result"]["total"] == 3**18 and sum(env["result"]["census"].values()) == 3**18
+    code, out, err = run(capsys, argv + ["--budget", str(products - 1)])
+    assert code == 2 and out == "" and err.count("\n") == 1 and f"exceeds the budget {products - 1}" in err
+    # the 8 classes prime to t^2 + 1 share every prime of degree 20
+    primes = 0
+    for f in ("1", "2", "0,1", "1,1", "2,1", "0,2", "1,2", "2,2"):
+        argv = ["progression", "--p", "3", "--k", "20", "--D", "1,0,1", "--f", f, "--lambda", "20"]
+        primes += run_json(capsys, argv)["result"]["count"]
+    assert primes == exact_prime_count(3, 20)
+    # the count the table route gave at degree 14
+    argv = ["progression", "--p", "3", "--k", "14", "--D", "1,0,1", "--f", "1", "--lambda", "14"]
+    assert run_json(capsys, argv)["result"]["count"] == 42_720
 
 
 def test_dry_run(capsys):

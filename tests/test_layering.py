@@ -79,9 +79,13 @@ def test_light_commands_do_not_load_numpy():
         "counterexample m1 --p 2 --n 1",
         # censuses too small to repay the numpy start-up factor their members
         "interval --p 2 --k 2 --m 1 --f 0,0,1",
-        "progression --p 3 --k 3 --D 0,1 --f 1",
         "nu --p 2 --f 1,0,1 --m 1",
         "nu --p 2 --nu 2 --f [1],[0],[0],[0],[0],[0],[1] --m 2 --decompose",
+        # residue classes with small moduli are counted in the ring, however many members they have
+        "progression --p 3 --k 3 --D 0,1 --f 1",
+        "progression --p 3 --k 9 --D 2,0,1 --f 1",
+        "scan-progressions --p 3 --k 5 --m 2 --lambda 5",
+        "scan-progressions --p 5 --k 6 --m 3 --lambda 6",
         # whole-degree censuses of 81 and 32 + 243 members factor them too
         "mean-variance --p 3 --k 4 --m 1",
         "variance-trend --k 5 --m 1 --q-list 2,3",

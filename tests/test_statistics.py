@@ -220,52 +220,96 @@ def _direct_mean_variance(spec, k, m):
     return mean, sum((v - mean) ** 2 for v in values) / len(values)
 
 
+def _progression(spec, d_indices, f_indices, k):
+    return st.ProgressionSpec(pr.poly_from_indices(spec, d_indices), pr.poly_from_indices(spec, f_indices), k)
+
+
+class CountingRing(st.ResidueRing):
+    """A residue ring that counts the convolutions it makes."""
+
+    def __init__(self, d_poly):
+        super().__init__(d_poly)
+        self.convolutions = 0
+
+    def conv(self, a, b):
+        self.convolutions += 1
+        return super().conv(a, b)
+
+
+def _record_rings(monkeypatch):
+    """Patch `statistics.ResidueRing` to list every ring it builds; return that list."""
+    rings = []
+
+    class Recorded(st.ResidueRing):
+        def __init__(self, d_poly):
+            super().__init__(d_poly)
+            rings.append(self)
+
+    monkeypatch.setattr(st, "ResidueRing", Recorded)
+    return rings
+
+
 def test_census_route_rule(monkeypatch):
-    # each census, from an empty table cache, takes the route the rule names, then the table route once warm
+    # each census, from an empty table cache, takes the route the rule names; once tables for its degree are
+    # built, a census that factored reads them, and a ring census stays on the ring
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2, F3, F5 = (gf.make_field(p, 1) for p in (2, 3, 5))
     t2 = pr.monomial(F2, 1)
     f8 = P(F3, 2, 1, 0, 2, 1, 1, 0, 1, 1)
+    prog3 = _progression(F3, (1, 1), (2,), 3)
+    prog8 = _progression(F3, (1, 0, 1), (0, 1), 8)
+    prog5 = _progression(F3, (1, 0, 1), (0, 1), 5)
+    prog10 = _progression(F2, (1, 1, 0, 1, 1, 0, 0, 0, 1), (1,), 10)  # deg D = 8: 4 members
+    prog17 = _progression(F2, (1, 1, 0, 0, 0, 0, 0, 1), (1,), 17)  # deg D = 7: 1,024 members
     cases = [
-        # (field, k, census, oracle, tables built); tables are built when the estimate in microseconds
-        # 110,000 + 0.25 * (q + ... + q^k) is at most 220 * members.  The first three sieve at most
-        # 8 codes a member but are too small to repay the start-up; the middle three sieve 13.5 and repay it.
+        # (field, k, census, oracle, route).  Tables are built when the estimate in microseconds
+        # 110,000 + 0.25 * (q + ... + q^k) is at most 220 * members; a residue class is counted in the ring
+        # when 0.12 us a pair product (statistics.ring_products) costs no more than either.  The first
+        # interval and nu rows sieve at most 8 codes a member but are too small to repay the start-up;
+        # the middle ones sieve 13.5 and repay it.
         (F5, 3, lambda: st.interval_counts(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), False),  # 110,038.75 > 220 * 125
-        (F3, 3, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)).counts,
-         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 1), P(F3, 2), 3)), False),  # > 220 * 9
-        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), False),  # > 220 * 16
+         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), "factor"),  # 110,038.75 > 220 * 125
+        (F3, 3, lambda: st.progression_counts(prog3).counts,
+         lambda: direct_progression_census(prog3), "ring"),  # 63 pair products: 7.56 us < 220 * 9
+        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), "factor"),  # > 220 * 16
         (F3, 8, lambda: st.interval_counts(st.IntervalSpec(f8, 5)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(f8, 5)), True),  # 9,840 codes: 112,460 <= 220 * 729
-        (F3, 8, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 8)).counts,
-         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 8)), True),  # 729 members
-        (F3, 8, lambda: st.nu(f8, 5), lambda: direct_nu(f8, 5), True),  # 729 members
+         lambda: direct_interval_census(st.IntervalSpec(f8, 5)), "tables"),  # 9,840 codes: 112,460 <= 220 * 729
+        (F3, 8, lambda: st.progression_counts(prog8).counts,
+         lambda: direct_progression_census(prog8), "ring"),  # 5,913 pair products: 709.56 us < 112,460
+        (F3, 8, lambda: st.nu(f8, 5), lambda: direct_nu(f8, 5), "tables"),  # 729 members
         (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), False),  # > 220 * 9
-        (F3, 5, lambda: st.progression_counts(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)).counts,
-         lambda: direct_progression_census(st.ProgressionSpec(P(F3, 1, 0, 1), P(F3, 0, 1), 5)), False),  # > 220 * 27
-        (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), False),
+         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), "factor"),  # > 220 * 9
+        (F3, 5, lambda: st.progression_counts(prog5).counts,
+         lambda: direct_progression_census(prog5), "ring"),  # 1,944 pair products: 233.28 us < 220 * 27
+        (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), "factor"),
+        # a large modulus makes the ring dear: 4 members factor (880 us against 10,485,760 pair products,
+        # 1.26 s), and 1,024 build tables (175,535.5 <= 220 * 1,024 against 14,680,064, 1.76 s)
+        (F2, 10, lambda: st.progression_counts(prog10).counts, lambda: direct_progression_census(prog10), "factor"),
+        (F2, 17, lambda: st.progression_counts(prog17).counts, lambda: direct_progression_census(prog17), "tables"),
         # interval scans and the nu mean and variance census all q^k members of degree k:
         # 81 at F_3, k = 4 factor (110,030 > 220 * 81); 1,024 at F_2, k = 10 build tables (110,511.5 <= 220 * 1,024)
-        (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), False),
-        (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), False),
-        (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), True),
-        (F2, 10, lambda: st.mean_variance_nu(F2, 10, 1), lambda: _direct_mean_variance(F2, 10, 1), True),
+        (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), "factor"),
+        (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), "factor"),
+        (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), "tables"),
+        (F2, 10, lambda: st.mean_variance_nu(F2, 10, 1), lambda: _direct_mean_variance(F2, 10, 1), "tables"),
     ]
     factored = []
     factor = pr.factor
     monkeypatch.setattr(pr, "factor", lambda f: factored.append(f) or factor(f))
-    for spec, k, census, oracle, built in cases:
+    rings = _record_rings(monkeypatch)
+    for spec, k, census, oracle, route in cases:
         tables._PT_CACHE.clear()
         expected = oracle()
-        del factored[:]
+        del factored[:], rings[:]
         assert census() == expected
-        assert (spec in tables._PT_CACHE) is built
-        assert bool(factored) is not built
+        assert (spec in tables._PT_CACHE) is (route == "tables")
+        assert bool(factored) is (route == "factor")
+        assert bool(rings) is (route == "ring")
         tables.poly_tables(spec, k)
-        del factored[:]
+        del factored[:], rings[:]
         assert census() == expected
         assert not factored
+        assert bool(rings) is (route == "ring")
 
 
 def test_census_tables_boundary(monkeypatch):
@@ -286,30 +330,103 @@ def test_census_tables_boundary(monkeypatch):
     assert pt is not None and pt.kmax == 10
 
 
-@pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3)])
+def test_ring_route_boundary(monkeypatch):
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    F2 = gf.make_field(2, 1)
+    # tables for F_2, k = 10 cost 110,511.5 us; at 0.12 us a pair product the ring is no dearer up to 920,929
+    assert st.ring_is_cheapest(2, 10, 920_929)
+    assert not st.ring_is_cheapest(2, 10, 920_930)
+    # against factoring 4 members, 880 us: 7,333 pair products cost 879.96 us and 7,334 cost 880.08 us
+    assert st.ring_is_cheapest(2, 10, 7_333, members=4)
+    assert not st.ring_is_cheapest(2, 10, 7_334, members=4)
+    # a census of one class at k = 10: deg D = 4 takes the ring (37,376 pair products, 4,485.12 us against
+    # 220 * 64), deg D = 5 factors its 32 members (154,624 pair products, 18,554.88 us against 7,040)
+    d4, d5 = _progression(F2, (1, 1, 0, 0, 1), (1,), 10), _progression(F2, (1, 0, 1, 0, 0, 1), (1,), 10)
+    assert st.progression_route(d4) == (True, 37_376)
+    assert st.progression_route(d5) == (False, 32)
+    # a progression scan prices a ring for each modulus it may reach, at most one a cell: at F_2, k = 8, m = 1
+    # (deg D = 6, 114,688 pair products a ring) 8 rings cost 110,100.48 us, no more than the 110,127.5 us of
+    # tables, and 9 rings cost more.  Here the first modulus, t^6, holds every cell, so one ring is built.
+    lam = Partition((8,))
+    rings = _record_rings(monkeypatch)
+    cut = verify.scan_progressions(F2, 8, 1, lam, ScanOptions(per_cell=True, max_cells=8))
+    assert len(rings) == 1 and F2 not in tables._PT_CACHE
+    del rings[:]
+    longer = verify.scan_progressions(F2, 8, 1, lam, ScanOptions(per_cell=True, max_cells=9))
+    assert not rings and F2 in tables._PT_CACHE
+    assert longer.per_cell[:8] == cut.per_cell
+
+
+def _force_route(monkeypatch, route, pt):
+    """Make every census take `route`: "factor", "tables" (reading `pt`) or "ring"."""
+    monkeypatch.setattr(st, "ring_is_cheapest", lambda *args, **kwargs: route == "ring")
+    monkeypatch.setattr(st, "census_tables", lambda *args, **kwargs: pt if route == "tables" else None)
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3), (9, 3)])
 def test_census_routes_agree(q, kmax, monkeypatch):
-    # every interval and residue class, counted by factoring and by table lookup
+    # every interval and residue class, counted by factoring and by table lookup, and every residue class in the
+    # ring too, one ring a modulus; each ring's psi_n sums to q^n, and it makes the convolutions `ring_products`
+    # projects
     spec = gf.make_field(*gf.prime_power(q))
     pt = tables.poly_tables(spec, kmax)
     results = {}
-    for route in (None, pt):
-        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, route=route: route)
-        out = results[route is None] = []
+    for route in ("factor", "tables", "ring"):
+        _force_route(monkeypatch, route, pt)
+        intervals, classes = results[route] = [], []
         for k in range(2, kmax + 1):
-            for m in range(0, k):
-                for base in range(q ** (k - m - 1)):
-                    f = pr.monic_from_code(spec, k, base * q ** (m + 1))
-                    out.append(st.interval_counts(st.IntervalSpec(f, m)).counts)
-                    if m >= 1:
-                        out.append(st.nu(f, m))
+            parts = partitions_of(k)
+            if route != "ring":
+                for m in range(0, k):
+                    for base in range(q ** (k - m - 1)):
+                        f = pr.monic_from_code(spec, k, base * q ** (m + 1))
+                        intervals.append(st.interval_counts(st.IntervalSpec(f, m)).counts)
+                        if m >= 1:
+                            intervals.append(st.nu(f, m))
             for delta in range(1, k):
                 for dcode in range(q**delta):
                     d_poly = pr.monic_from_code(spec, delta, dcode)
+                    if route == "ring":
+                        ring = CountingRing(d_poly)
+                        counts = ring.type_counts(k, parts)
+                        assert 1 + ring.convolutions == st.ring_products(q, delta, parts) // q ** (2 * delta)
+                        psi = ring.psi(k)
+                        assert [sum(psi[n]) for n in range(1, k + 1)] == [q**n for n in range(1, k + 1)]
                     for fcode in range(q**delta):
                         f = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
-                        if pr.poly_gcd(f, d_poly).degree == 0:
-                            out.append(st.progression_counts(st.ProgressionSpec(d_poly, f, k)).counts)
-    assert results[True] == results[False]
+                        if pr.poly_gcd(f, d_poly).degree != 0:
+                            continue
+                        if route == "ring":
+                            classes.append({lam: counts[lam][fcode] for lam in parts if counts[lam][fcode]})
+                        else:
+                            classes.append(st.progression_counts(st.ProgressionSpec(d_poly, f, k)).counts)
+    assert results["factor"] == results["tables"]
+    assert results["ring"][1] == results["factor"][1]
+
+
+@pytest.mark.parametrize("q,delta,kmax", [(2, 3, 20), (2, 5, 14), (3, 2, 16), (3, 3, 10), (4, 2, 8), (5, 2, 10)])
+def test_weil_bound_for_residue_classes(q, delta, kmax):
+    # each nontrivial character mod D has an L-function of degree <= delta - 1 whose inverse roots have absolute
+    # value sqrt(q) or 1, so for every coprime class a, with psi0 the sum of psi_k over the coprime classes,
+    # |phi(D) psi_k(a) - psi0| <= (phi(D) - 1)(delta - 1) q^(k/2); squared, the check stays in integers.
+    # Every monic D of degree delta and every k <= kmax; the largest gap is 0.34-0.71 of the bound.
+    spec = gf.make_field(*gf.prime_power(q))
+    worst = 0
+    for dcode in range(q**delta):
+        d_poly = pr.monic_from_code(spec, delta, dcode)
+        residues = [P(spec, *pr.code_to_coeffs(a, delta, q)[:-1]) for a in range(q**delta)]
+        units = [a for a, r in enumerate(residues) if pr.poly_gcd(r, d_poly).degree == 0]
+        phi = len(units)
+        assert phi == st.poly_totient(d_poly)
+        psi = st.ResidueRing(d_poly).psi(kmax)
+        for k in range(1, kmax + 1):
+            psi0 = sum(psi[k][a] for a in units)
+            bound = ((phi - 1) * (delta - 1)) ** 2 * q**k
+            for a in units:
+                gap = (phi * psi[k][a] - psi0) ** 2
+                assert gap <= bound, (str(d_poly), k, a)
+                worst = max(worst, Fraction(gap, bound))
+    assert worst > Fraction(1, 100)  # the bound is not met vacuously
 
 
 # ---------------------------------------------------------------------------

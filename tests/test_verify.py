@@ -316,6 +316,23 @@ def test_scan_progressions_worker_determinism(F3):
     assert canonical_json(verify.report_to_dict(r1)) == canonical_json(verify.report_to_dict(r4))
 
 
+@pytest.mark.parametrize("q,k,m", [(3, 5, 2), (3, 7, 3), (5, 6, 3), (2, 8, 3)])
+def test_scan_progressions_ring_matches_tables(q, k, m, monkeypatch):
+    # per-cell JSON and CSV, whole and truncated after 0, 7 and 40 cells, counted in the ring and from type tables
+    spec = gf.make_field(q, 1)
+    out = {}
+    for ring in (True, False):
+        monkeypatch.setattr(st, "ring_is_cheapest", lambda *args, ring=ring, **kwargs: ring)
+        monkeypatch.setattr(tables, "_PT_CACHE", {})
+        out[ring] = []
+        for lam in (Partition((k,)), Partition((k - 1, 1)), Partition((2,) + (1,) * (k - 2))):
+            for max_cells in (None, 0, 7, 40):
+                report = verify.scan_progressions(spec, k, m, lam, ScanOptions(per_cell=True, max_cells=max_cells))
+                out[ring] += [canonical_json(verify.report_to_dict(report)), cli._csv_text(report)]
+        assert (spec in tables._PT_CACHE) is not ring
+    assert out[True] == out[False]
+
+
 def test_scan_progressions_rejects_degenerate(F3):
     with pytest.raises(ValueError):
         verify.scan_progressions(F3, 2, 1, Partition((2,)))  # deg D = 0

@@ -12,12 +12,19 @@ checkout's `src/`:
             per member, over seeded random members of degree k, or at
             the whole-degree points over every member in code order, as
             `statistics.block_sums` factors them for interval scans and
-            the nu mean and variance.
+            the nu mean and variance;
+  ring      building `statistics.ResidueRing(D)` and its
+            `type_counts(k, lams)`, per pair product that
+            `statistics.ring_products` projects, over the first few monic
+            D of degree delta: a whole census of one class (every
+            partition of k), as `progression` runs it, or the prime count,
+            as `scan-progressions --lambda k` runs it per modulus.
 
 The sieve and factoring costs are taken at each (q, k) point below, one
 process a point.  The script prints them with the break-even ratio
 (factoring microseconds a member over sieving microseconds a code) and
-then the rule's constants as `statistics` has them, so a change to those
+then the ring's microseconds a pair product, and then the rule's
+constants as `statistics` has them, so a change to those
 constants can cite a command rather than prose.  The whole-degree points
 are small fields and degrees, where the rule factors; their medians are
 printed apart and do not enter the measured medians.
@@ -48,6 +55,11 @@ WHOLE_DEGREE_POINTS = ((3, 4), (3, 5), (2, 8))  # every member, as in the scans 
 PROCESSES = 7  # fresh processes timing the start-up, median kept
 MEMBERS = 300  # members factored at each point
 REPS = 3  # timings of the sieve and of the factoring at each point, median kept
+# (q, delta, k, whole census or prime count only); moduli of degree delta, as many as MODULI
+RING_POINTS = (
+    (3, 2, 9, True), (3, 2, 20, True), (3, 3, 7, False), (5, 2, 6, False), (2, 4, 8, False), (5, 3, 8, False),
+)
+MODULI = 5
 
 STARTUP = """
 import time
@@ -77,6 +89,24 @@ for _ in range(reps):
         pr.factorization_type(pr.monic_from_code(spec, k, c))
     factor.append(time.perf_counter() - t)
 print(json.dumps([sorted(sieve)[reps // 2], sorted(factor)[reps // 2]]))
+"""
+
+RING = """
+import json, sys, time
+from ffstat import gf, polyring as pr, statistics as st
+from ffstat.combinatorics import Partition, partitions_of
+q, delta, k, census, moduli, reps = map(int, sys.argv[1:])
+spec = gf.make_field(*gf.prime_power(q))
+gf.field_table(spec)
+lams = partitions_of(k) if census else [Partition((k,))]
+ds = [pr.monic_from_code(spec, delta, code) for code in range(min(moduli, q**delta))]
+times = []
+for _ in range(reps):
+    t = time.perf_counter()
+    for d in ds:
+        st.ResidueRing(d).type_counts(k, lams)
+    times.append(time.perf_counter() - t)
+print(json.dumps([sorted(times)[reps // 2], len(ds) * st.ring_products(q, delta, lams)]))
 """
 
 
@@ -113,9 +143,18 @@ def main() -> int:
     print("whole-degree points, every member factored in code order:")
     _, whole_us = _points(WHOLE_DEGREE_POINTS, lambda q, k: q**k)
     print(f"whole-degree factoring {min(whole_us):.0f}-{max(whole_us):.0f} us a member, median {statistics.median(whole_us):.0f}")
+    print("ring points, microseconds a projected pair product:")
+    print(f"{'q':>3} {'deg D':>5} {'k':>3} {'types':>6} {'products':>10} {'ring s':>8} {'us/product':>10}")
+    ring_us = []
+    for q, delta, k, census in RING_POINTS:
+        s, products = json.loads(_child(RING, q, delta, k, int(census), MODULI, REPS))
+        ring_us.append(s / products * 1e6)
+        print(f"{q:>3} {delta:>5} {k:>3} {'all' if census else 'prime':>6} {products:>10} {s:>8.4f} {ring_us[-1]:>10.3f}")
+    print(f"ring {min(ring_us):.3f}-{max(ring_us):.3f} us a pair product, median {statistics.median(ring_us):.3f}")
     print(
         f"statistics uses:  start-up {st.TABLE_START_US} us, sieve {st.SIEVE_US_PER_CODE} us a code, "
-        f"factoring {st.FACTOR_US_PER_MEMBER} us a member; break-even "
+        f"factoring {st.FACTOR_US_PER_MEMBER} us a member, ring {st.RING_US_PER_PRODUCT} us a pair product; "
+        f"break-even "
         f"{st.FACTOR_US_PER_MEMBER / st.SIEVE_US_PER_CODE:.0f} codes a member plus "
         f"{st.TABLE_START_US / st.SIEVE_US_PER_CODE:.0f} codes of start-up"
     )
