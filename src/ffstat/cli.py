@@ -27,6 +27,7 @@ from ffstat.combinatorics import (
     exact_prime_count,
     exact_type_count,
     frac_str,
+    partitions_of,
 )
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldElement, FieldSpec
 from ffstat.polyring import Poly
@@ -269,7 +270,8 @@ def cmd_progression(args, cfg):
     params = {"D": pr.poly_text(d_poly), "f": pr.poly_text(f), "k": args.k}
     if lam is not None:
         params["lambda"] = str(lam)
-    work = st.progression_route(prog)[1]  # of the route the census takes: ring pair products, or members
+    products = st.ring_products(spec.q, d_poly.degree, partitions_of(prog.k))
+    work = products if st.census_route(spec, prog.k, prog.size, products) == "ring" else prog.size  # of the route taken
     return spec, params, (1, work), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
 
 
@@ -459,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=None, required=False, help="field characteristic")
     common.add_argument("--nu", type=int, default=1, help="field extension degree (default 1)")
-    common.add_argument("--threads", type=int, default=None, help="accepted and recorded; scans run in one thread")
+    common.add_argument("--threads", type=int, default=None, help="accepted and ignored; scans run in one thread")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max enumeration size")
-    common.add_argument("--seed", type=int, default=None, help="reserved for forward compatibility")
+    common.add_argument("--seed", type=int, default=None, help="accepted and ignored; scans are exhaustive and deterministic")
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     common.add_argument("--dry-run", action="store_true", help="print projected cell count and exit")

@@ -4,27 +4,27 @@ Short intervals I(f, m) = f + {polynomials of degree <= m} and residue
 classes {f + D*g} are the two enumeration domains.  Both are
 specializations f + g*h, deg h <= m: the interval is g = 1, a contiguous
 block of codes, and the degree-k members of f mod D are (f + D*t^r) + D*h
-with deg h < r = k - deg D.  A census takes one of two member routes,
-chosen by one rule in `census_tables`: a lookup of its members' codes
-(listed by `tables.member_codes`) in the field's type tables, or
-factoring each member, built by polynomial arithmetic, with `polyring`.
-Tables already built are always used; new ones are built only when
-importing numpy and sieving them is estimated to cost no more than
-factoring every member.  The censuses of all q^k monic polynomials of
-degree k, summed per interval by `block_sums` for `mean_variance_nu` and
-`verify.scan_intervals`, take the same rule.
+with deg h < r = k - deg D.  One private engine, `_specializations`,
+lists both, for one of two member routes: a lookup of the members' codes
+(from `tables.member_codes`) in the field's type tables, or factoring
+each member, built by polynomial arithmetic, with `polyring`.  A residue
+class has a third route that lists no members: `ResidueRing` counts
+every class mod D at once in the monoid ring Z[F_q[t]/D], from the zeta
+function of F_q[t], at a cost set by deg D rather than by the
+q^(k - deg D) members.
 
-A residue class has a third route that lists no members: `ResidueRing`
-counts every class mod D at once in the monoid ring Z[F_q[t]/D], from
-the zeta function of F_q[t], at a cost set by deg D rather than by the
-q^(k - deg D) members.  `progression_route` takes it when
-`ring_is_cheapest` prices it below both member routes, whatever tables
-are built; `verify.scan_progressions` prices one ring a modulus against
-tables.  The three routes give the same counts and are cross-checked in
-the tests.  `tables`, and with it numpy, is imported only once the rule
-has picked the table route, so totients, radical sets, the nu
-decomposition, every ring census and every census that factors never
-load it.
+One rule, `census_route`, picks the route of every census from costs
+estimated in microseconds: the ring when it is priced no dearer than the
+other two, whatever tables are built; else tables already built; else
+new tables when importing numpy and sieving them is estimated to cost no
+more than factoring every member; else factoring.  The censuses of all
+q^k monic polynomials of degree k, summed per interval by `block_sums`
+for `mean_variance_nu` and `verify.scan_intervals`, and the progression
+scans of `verify` take the same rule.  The three routes give the same
+counts and are cross-checked in the tests.  `tables`, and with it numpy,
+is imported only once the rule has picked the table route, so totients,
+radical sets, the nu decomposition, every ring census and every census
+that factors never load it.
 """
 
 from __future__ import annotations
@@ -34,18 +34,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from ffstat import gf, polyring as pr
 from ffstat.combinatorics import Partition, divisors, partitions_of
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
-
-if TYPE_CHECKING:  # annotations only
-    import numpy as np
-
-    from ffstat import tables
-
 
 def check_center(f: Poly) -> None:
     """Reject an interval center that is not monic of degree >= 1."""
@@ -78,13 +71,6 @@ class IntervalSpec:
     @property
     def size(self) -> int:
         return self.spec.q ** (self.m + 1)
-
-    def canonical(self) -> "IntervalSpec":
-        """Representative with coefficients 0..m zeroed; same member set."""
-        ci = list(self.f.ci)
-        for i in range(self.m + 1):
-            ci[i] = 0
-        return IntervalSpec(Poly(self.spec, tuple(ci)), self.m)
 
     def base_code(self) -> int:
         """Shared top-coefficient block index: member codes are base*size .. base*size+size-1."""
@@ -129,21 +115,6 @@ class ProgressionSpec:
     def size(self) -> int:
         return self.spec.q ** (self.k - self.D.degree)
 
-    def members(self):
-        """All f + D*g with g monic of degree k - deg D, in g-code order."""
-        r = self.k - self.D.degree
-        for g in pr.all_monic(self.spec, r):
-            yield pr.poly_add(self.f, pr.poly_mul(self.D, g))
-
-    def codes(self) -> np.ndarray:
-        """Member codes in the order of `members`: the specialization (f + D*t^r) + D*h, deg h < r."""
-        from ffstat import tables
-
-        r = self.k - self.D.degree
-        top = pr.poly_add(self.f, pr.poly_mul(self.D, pr.monomial(self.spec, r)))
-        ft = gf.field_table(self.spec)
-        return tables.member_codes(ft, top.ci, tables.multiplier_rows(ft, self.D.ci, r - 1, self.k))
-
 
 @dataclass
 class TypeCensus:
@@ -168,10 +139,10 @@ class TypeCensus:
 # The census engine
 # ---------------------------------------------------------------------------
 
-# The route rule compares two costs in microseconds.  The table route pays
-# once for importing numpy and `tables`, then for sieving each of the
-# q + q^2 + ... + q^k codes of degrees 1..k; the factoring route pays for
-# each member.  `python tools/route_costs.py` measures all three in fresh
+# `census_route` compares the routes' costs in microseconds.  The table
+# route pays once for importing numpy and `tables`, then for sieving each
+# of the q + q^2 + ... + q^k codes of degrees 1..k; the factoring route
+# pays for each member.  `python tools/route_costs.py` measures all three in fresh
 # processes.  Two runs on a 2-core x86 machine with Python 3.11.7 and numpy
 # 2.4.6 gave a start-up of 104-110 ms and, at (q, k) in (2, 14), (3, 9),
 # (5, 6), (9, 5), (7, 5), a sieve of 0.15-1.19 us a code (medians 0.23 and
@@ -187,85 +158,6 @@ TABLE_START_US = 110_000
 SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
 
-
-def _table_us(q: int, k: int) -> float:
-    """Estimated microseconds to import numpy and `tables` and sieve every code of degree 1..k."""
-    return TABLE_START_US + SIEVE_US_PER_CODE * sum(q**d for d in range(1, k + 1))
-
-
-def census_tables(spec: FieldSpec, k: int, members: int, budget: int = DEFAULT_BUDGET) -> tables.PolyTables | None:
-    """The route for a census of `members` monic degree-k polynomials.
-
-    Returns type tables covering degree k, or None when each member is to
-    be factored.  Tables already built are always used.  Otherwise they
-    are built only when q^k fits the enumeration budget `budget` and
-    building them costs no more than factoring every member:
-    TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members.
-    The start-up is charged whether or not numpy is loaded yet, so the route
-    depends only on (q, k, members) and the tables already built.  The rule
-    is decided before `tables` is imported: a census that factors never
-    loads numpy.
-    """
-    tables = sys.modules.get("ffstat.tables")  # no tables exist before the module is imported
-    if tables is not None:
-        pt = tables.cached_poly_tables(spec, k)
-        if pt is not None:
-            return pt
-    if spec.q**k > budget or _table_us(spec.q, k) > FACTOR_US_PER_MEMBER * members:
-        return None
-    from ffstat import tables
-
-    return tables.poly_tables(spec, k, budget)
-
-
-def block_sums(spec: FieldSpec, k: int, block: int, budget: int, value, table_sums) -> list[int]:
-    """Sums of `value(g)` over each run of `block` consecutive codes of the monic degree-k g.
-
-    A census of all q^k members, by the route `census_tables` picks:
-    `table_sums(tables)` returns the sums as an array read from type
-    tables, or else `value` is called on every member in code order.
-    `block` divides q^k, and the caller has checked q^k against `budget`.
-    """
-    qk = spec.q**k
-    pt = census_tables(spec, k, qk, budget)
-    if pt is not None:
-        return table_sums(pt).tolist()
-    values = map(value, pr.all_monic(spec, k))
-    return [sum(islice(values, block)) for _ in range(qk // block)]
-
-
-def _route(spec: FieldSpec, k: int, size: int, codes, members):
-    """(tables, index of the members in their degree-k arrays), or (None, the members) when each is factored.
-
-    `codes()` lists the `size` member codes (a range or an array) and
-    `members()` yields them as polynomials; each is called only on its own
-    route, so the factoring route builds no numpy array.
-    """
-    pt = census_tables(spec, k, size)
-    if pt is None:
-        return None, members()
-    index = codes()
-    if isinstance(index, range):  # an interval's block of codes, read as a view
-        return pt, slice(index.start, index.stop)
-    return pt, index
-
-
-def _census(spec: FieldSpec, k: int, size: int, codes, members) -> TypeCensus:
-    """Census of the factorization types of `size` monic degree-k polynomials, given as in `_route`."""
-    parts = partitions_of(k)
-    pt, index = _route(spec, k, size, codes, members)
-    if pt is None:
-        found = Counter(map(pr.factorization_type, index))
-        counts = [found[lam] for lam in parts]
-    else:
-        counts = pt.degree_census(k, index).tolist()
-    return TypeCensus(k, {lam: n for lam, n in zip(parts, counts) if n})
-
-
-# ---------------------------------------------------------------------------
-# The residue ring
-# ---------------------------------------------------------------------------
-
 # The ring route pays for each pair product it may multiply: q^(2 delta)
 # for R's multiplication table and for each convolution, in pure Python,
 # so it has no start-up.  `python tools/route_costs.py` measures it at six
@@ -278,6 +170,107 @@ def _census(spec: FieldSpec, k: int, size: int, codes, members) -> TypeCensus:
 # so large moduli sit at the low end.
 RING_US_PER_PRODUCT = 0.12
 
+
+def census_route(spec: FieldSpec, k: int, members: int | None = None, products: int | None = None,
+                 budget: int = DEFAULT_BUDGET) -> str:
+    """The route of a census of monic degree-k polynomials: "ring", "tables" or "factor".
+
+    `members` is how many a census would factor, None for a progression
+    scan, which never factors; `products` is the ring pair products
+    (`ring_products`) where the residue ring can count the census, else
+    None.  The first that holds:
+
+    - "ring" when RING_US_PER_PRODUCT * products costs no more than
+      building tables for degree k, nor than factoring `members`;
+    - "tables" when tables covering degree k are already built;
+    - "tables" for a scan, or when q^k fits the enumeration budget `budget`
+      and building them costs no more than factoring every member:
+      TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members;
+    - "factor".
+
+    The start-up is charged whether or not numpy is loaded yet, so the
+    route depends only on the query and the tables already built.  Built
+    tables are read even where the cold rule would factor, since a lookup
+    in them costs far less than factoring.  The rule builds and imports
+    nothing: a caller on "tables" reads them from `tables.poly_tables`,
+    and a census that factors or counts in the ring never loads numpy.
+    """
+
+    def table_us() -> float:  # import numpy and `tables`, then sieve every code of degree 1..k
+        return TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
+
+    ring_us = None if products is None else RING_US_PER_PRODUCT * products
+    if ring_us is not None and ring_us <= table_us() and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
+        return "ring"
+    tables = sys.modules.get("ffstat.tables")  # no tables exist before the module is imported
+    if tables is not None and tables.cached_poly_tables(spec, k) is not None:
+        return "tables"
+    if members is None or (spec.q**k <= budget and table_us() <= FACTOR_US_PER_MEMBER * members):
+        return "tables"
+    return "factor"
+
+
+def block_sums(spec: FieldSpec, k: int, block: int, budget: int, value, table_sums) -> list[int]:
+    """Sums of `value(g)` over each run of `block` consecutive codes of the monic degree-k g.
+
+    A census of all q^k members, by the route `census_route` picks:
+    `table_sums(tables)` returns the sums as an array read from type
+    tables, or else `value` is called on every member in code order.
+    `block` divides q^k, and the caller has checked q^k against `budget`.
+    """
+    qk = spec.q**k
+    if census_route(spec, k, qk, budget=budget) == "tables":
+        from ffstat import tables
+
+        return table_sums(tables.poly_tables(spec, k, budget)).tolist()
+    values = map(value, pr.all_monic(spec, k))
+    return [sum(islice(values, block)) for _ in range(qk // block)]
+
+
+def _specializations(f: Poly, g: Poly, m: int, route: str):
+    """The monic f + g*h for every h of degree <= m, listed for a census on `route`, "tables" or "factor".
+
+    f is monic and deg f > deg g + m.  Returns the type tables for degree
+    deg f and the index of the members' codes in them, or, on "factor",
+    None and the members as polynomials, built as they are read.  A
+    constant g lists the interval around f, a block of codes read as a
+    slice; any other g lists f + g*h in h-code order, through the digit
+    kernel `tables.member_codes` or by polynomial arithmetic.
+    """
+    spec, k, q = f.spec, f.degree, f.spec.q
+    size = q ** (m + 1)
+    # a constant g: the interval around f, codes lo .. lo + size - 1, found without building an IntervalSpec,
+    # which would cost a warm session's nu calls about a fifth of their time
+    lo = pr.monic_code(f) // size * size if g.degree == 0 else None
+    if route == "factor":
+        if lo is not None:
+            return None, (pr.monic_from_code(spec, k, code) for code in range(lo, lo + size))
+        hs = (pr.poly_from_indices(spec, pr.code_to_coeffs(code, m + 1, q)[:-1]) for code in range(size))
+        return None, (pr.poly_add(f, pr.poly_mul(g, h)) for h in hs)
+    from ffstat import tables
+
+    pt = tables.poly_tables(spec, k)
+    if lo is not None:
+        return pt, slice(lo, lo + size)
+    return pt, tables.member_codes(pt.field, f.ci, tables.multiplier_rows(pt.field, g.ci, m, k))
+
+
+def _census(f: Poly, g: Poly, m: int, route: str) -> TypeCensus:
+    """Census of the factorization types of the f + g*h that `_specializations` lists on `route`."""
+    k = f.degree
+    parts = partitions_of(k)
+    pt, members = _specializations(f, g, m, route)
+    if pt is None:
+        found = Counter(map(pr.factorization_type, members))
+        counts = [found[lam] for lam in parts]
+    else:
+        counts = pt.degree_census(k, members).tolist()
+    return TypeCensus(k, {lam: n for lam, n in zip(parts, counts) if n})
+
+
+# ---------------------------------------------------------------------------
+# The residue ring
+# ---------------------------------------------------------------------------
 
 def ring_products(q: int, delta: int, lams) -> int:
     """Pair products of `ResidueRing.type_counts` for these partitions, modulus degree delta.
@@ -302,18 +295,6 @@ def _part_sizes(lams) -> tuple[dict[Partition, dict[int, int]], dict[int, int]]:
         for d, m in mult.items():
             top[d] = max(top.get(d, 0), m)
     return mults, top
-
-
-def ring_is_cheapest(q: int, k: int, products: int, members: int | None = None) -> bool:
-    """Whether `products` ring pair products cost no more than type tables for degree k, nor than factoring `members`.
-
-    Compares RING_US_PER_PRODUCT * products with the table and factoring
-    costs of `census_tables`; `members` is None where no census factors,
-    as in `verify.scan_progressions`.  The route thus depends on the query
-    alone, not on the tables already built.
-    """
-    ring_us = RING_US_PER_PRODUCT * products
-    return ring_us <= _table_us(q, k) and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members)
 
 
 def residue_code(f: Poly) -> int:
@@ -489,23 +470,7 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
         scale = Poly(spec, (gf.field_table(spec).inv[f.ci[-1]],))
         f = pr.poly_mul(f, scale)
         g = pr.poly_mul(g, scale)
-    if g.degree == 0:  # f + g*h runs over the whole interval around f
-        interval = IntervalSpec(f, m)
-        return _census(spec, k, interval.size, interval.codes, interval.members)
-    q = spec.q
-
-    def codes():
-        from ffstat import tables
-
-        ft = gf.field_table(spec)
-        return tables.member_codes(ft, f.ci, tables.multiplier_rows(ft, g.ci, m, k))
-
-    def members():  # h runs over the coefficient vectors (a_0, ..., a_m)
-        for code in range(q ** (m + 1)):
-            h = pr.poly_from_indices(spec, pr.code_to_coeffs(code, m + 1, q)[:-1])
-            yield pr.poly_add(f, pr.poly_mul(g, h))
-
-    return _census(spec, k, q ** (m + 1), codes, members)
+    return _census(f, g, m, census_route(spec, k, spec.q ** (m + 1)))
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:
@@ -513,26 +478,21 @@ def interval_counts(interval: IntervalSpec) -> TypeCensus:
     return specialization_counts(interval.f, pr.one_poly(interval.spec), interval.m)
 
 
-def progression_route(prog: ProgressionSpec) -> tuple[bool, int]:
-    """Whether the ring counts this census, and the work of its route: ring pair products, or else members."""
-    products = ring_products(prog.spec.q, prog.D.degree, partitions_of(prog.k))
-    if ring_is_cheapest(prog.spec.q, prog.k, products, prog.size):
-        return True, products
-    return False, prog.size
-
-
 def progression_counts(prog: ProgressionSpec) -> TypeCensus:
     """Census over the monic degree-k members of a residue class.
 
     The ring route reads the class of f from `ResidueRing.type_counts`;
-    the others list the members as `_census` does.
+    the others list the members (f + D*t^r) + D*h, deg h < r = k - deg D,
+    as `specialization_counts` lists f + g*h.
     """
-    if not progression_route(prog)[0]:
-        return _census(prog.spec, prog.k, prog.size, prog.codes, prog.members)
-    parts = partitions_of(prog.k)
-    classes = ResidueRing(prog.D).type_counts(prog.k, parts)
+    spec, k, r = prog.spec, prog.k, prog.k - prog.D.degree
+    parts = partitions_of(k)
+    route = census_route(spec, k, prog.size, ring_products(spec.q, prog.D.degree, parts))
+    if route != "ring":
+        return _census(pr.poly_add(prog.f, pr.poly_mul(prog.D, pr.monomial(spec, r))), prog.D, r - 1, route)
+    classes = ResidueRing(prog.D).type_counts(k, parts)
     f = residue_code(prog.f)
-    return TypeCensus(prog.k, {lam: classes[lam][f] for lam in parts if classes[lam][f]})
+    return TypeCensus(k, {lam: classes[lam][f] for lam in parts if classes[lam][f]})
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +524,11 @@ def nu(f: Poly, m: int) -> int:
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    interval = IntervalSpec(f, m)
-    pt, index = _route(f.spec, k, interval.size, interval.codes, interval.members)
-    total = sum(map(von_mangoldt, index)) if pt is None else int(pt.lambda_table(k)[index].sum())
-    # the only prime power with zero constant term is t^k (code 0, Lambda = 1)
-    return total - (interval.base_code() == 0)
+    size = f.spec.q ** (m + 1)
+    pt, members = _specializations(f, pr.one_poly(f.spec), m, census_route(f.spec, k, size))
+    total = sum(map(von_mangoldt, members)) if pt is None else int(pt.lambda_table(k)[members].sum())
+    # the only prime power with zero constant term is t^k (code 0, Lambda = 1), a member when f's code is below size
+    return total - (pr.monic_code(f) < size)
 
 
 def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:
@@ -638,7 +598,7 @@ def nu_decomposition(f: Poly, m: int) -> NuDecomposition:
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    interval = IntervalSpec(f, m).canonical()
+    interval = IntervalSpec(f, m)
     k_pi = k * sum(1 for g in interval.members() if pr.is_irreducible(g))
     proper: dict[int, int] = {}
     for d in divisors(k):

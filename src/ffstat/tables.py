@@ -216,15 +216,6 @@ class PolyTables:
         """Per-block counts of one partition over contiguous code blocks."""
         return (self.types[k].reshape(-1, block) == pid).sum(axis=1, dtype=np.int64)
 
-    def census_matrix(self, k: int, block: int) -> np.ndarray:
-        """Per-block full censuses: shape (blocks, #partitions)."""
-        t = self.types[k]
-        n = len(t) // block
-        npart = len(self.partitions[k])
-        rows = np.repeat(np.arange(n, dtype=np.int64), block)
-        comb = rows * npart + t.astype(np.int64)
-        return np.bincount(comb, minlength=n * npart).reshape(n, npart)
-
     def lambda_block_sums(self, k: int, block: int) -> np.ndarray:
         """Per-block sums of the von Mangoldt table."""
         lam = self.lambda_table(k)

@@ -8,10 +8,11 @@ a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
 Scans run in one thread and visit cells in order, so reports are
-deterministic; `ScanOptions.workers` is accepted and ignored.  An
-interval scan counts all q^k monic polynomials of degree k by the census
-route of `statistics.census_tables`, so a small one factors its members.
-A progression scan counts each modulus' classes at once, in one
+deterministic; `ScanOptions.workers` is accepted and ignored.  Both
+scans take their route from `statistics.census_route`.  An interval
+scan counts all q^k monic polynomials of degree k on the route it
+picks, so a small one factors its members.  A progression scan never
+factors: it counts each modulus' classes at once, in one
 `statistics.ResidueRing` a modulus, when the rings it may build are
 priced no dearer than type tables for degree k, and otherwise reads its
 cells from tables.  `tables`, and with it numpy, is imported only inside
@@ -288,7 +289,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     rational pi_q(k; lam) / phi(D).  The counts of one D come from its
     `statistics.ResidueRing`, built at its first cell, when the rings the
     scan may reach, at most one a cell, are priced no dearer than type
-    tables for degree k (`statistics.ring_is_cheapest`); otherwise each
+    tables for degree k (`statistics.census_route`); otherwise each
     cell reads its members' codes in the tables.
     """
     opts = options or ScanOptions()
@@ -312,7 +313,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
         )
     # one ring a modulus, for each D the scan reaches
     rings = q**delta if opts.max_cells is None else min(q**delta, opts.max_cells)
-    if st.ring_is_cheapest(q, k, rings * st.ring_products(q, delta, [lam])):
+    if st.census_route(spec, k, products=rings * st.ring_products(q, delta, [lam])) == "ring":
         def counter(d_poly):
             classes = st.ResidueRing(d_poly).type_counts(k, [lam])[lam]
             return lambda f_poly: classes[st.residue_code(f_poly)]

@@ -43,10 +43,11 @@ def direct_interval_census(interval):
 
 
 def direct_progression_census(prog):
-    """Type census of a residue class by factoring every member built by polynomial arithmetic."""
+    """Type census of a residue class by factoring f + D*g for every monic g of degree k - deg D."""
     counts = {}
-    for g in prog.members():
-        lam = pr.factorization_type(g)
+    for coeffs in product(range(prog.spec.q), repeat=prog.k - prog.D.degree):
+        g = pr.poly_from_indices(prog.spec, coeffs + (1,))
+        lam = pr.factorization_type(pr.poly_add(prog.f, pr.poly_mul(prog.D, g)))
         counts[lam] = counts.get(lam, 0) + 1
     return counts
 
@@ -63,7 +64,7 @@ def direct_specialization_census(f, g, m):
 def direct_nu(f, m):
     """Filtered von Mangoldt sum by factoring every member."""
     total = 0
-    for g in st.IntervalSpec(f, m).canonical().members():
+    for g in st.IntervalSpec(f, m).members():
         if g.ci[0] != 0:  # members are monic, so ci is never empty
             total += st.von_mangoldt(g)
     return total

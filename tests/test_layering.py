@@ -1,14 +1,19 @@
 """The module graph runs one way, numpy loads only where type tables are built or read,
-and the command line loads `statistics` and `verify` only for the subcommands that run them."""
+the command line loads `statistics` and `verify` only for the subcommands that run them,
+and the names the bench tracer and the route calibration reach by name exist."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # a module may import, at module level, only modules of an earlier or the same rank;
 # the package's __init__ ranks below them all, so it imports none
@@ -131,3 +136,18 @@ def test_cli_loads_statistics_and_verify_per_subcommand():
             capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
         )
         assert json.loads(proc.stdout) == loaded, line
+
+
+def test_tooling_names_exist():
+    # perfbench/tracer.py patches its table-cache lookups and PolyTables.__init__ without checking that they exist,
+    # and tools/route_costs.py reads statistics names in its scripts; a rename fails here, not in a traced run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, name in tracer.CACHE_LOOKUPS:
+        assert name in vars(importlib.import_module(f"ffstat.{modname}")), (modname, name)
+    assert "__init__" in vars(importlib.import_module("ffstat.tables").PolyTables)
+    statistics = importlib.import_module("ffstat.statistics")
+    names = set(re.findall(r"\bst\.(\w+)", (ROOT / "tools" / "route_costs.py").read_text(encoding="utf-8")))
+    assert {"ResidueRing", "ring_products", "TABLE_START_US", "RING_US_PER_PRODUCT"} <= names
+    assert [name for name in sorted(names) if not hasattr(statistics, name)] == []

@@ -35,10 +35,9 @@ def test_interval_membership(F2, F3):
 
 
 def test_interval_canonicalization(F3):
-    f = P(F3, 2, 1, 2, 1)  # low coefficients differ from the canonical rep
-    interval = st.IntervalSpec(f, 1)
-    canon = interval.canonical()
-    assert canon.f.ci == (0, 0, 2, 1)
+    # centers that differ only in coefficients 0..m give the same interval
+    interval = st.IntervalSpec(P(F3, 2, 1, 2, 1), 1)
+    canon = st.IntervalSpec(P(F3, 0, 0, 2, 1), 1)
     assert interval.base_code() == canon.base_code()
     assert set(interval.members()) == set(canon.members())
     assert st.interval_counts(interval).counts == st.interval_counts(canon).counts
@@ -53,9 +52,16 @@ def test_interval_validation(F2):
         st.IntervalSpec(pr.poly_mul(P(F2, 1, 1), P(F2, 1)), -1)
 
 
+def _class_members(prog, route):
+    """The members of a residue class as the census engine lists them on `route`: (f + D*t^r) + D*h, deg h < r."""
+    r = prog.k - prog.D.degree
+    top = pr.poly_add(prog.f, pr.poly_mul(prog.D, pr.monomial(prog.spec, r)))
+    return st._specializations(top, prog.D, r - 1, route)
+
+
 def test_progression_membership(F3):
     prog = st.ProgressionSpec(pr.monomial(F3, 1), pr.one_poly(F3), 2)
-    members = list(prog.members())
+    members = list(_class_members(prog, "factor")[1])
     assert len(members) == 3 == prog.size
     assert all(g.is_monic and g.degree == 2 for g in members)
     with pytest.raises(ValueError):
@@ -87,7 +93,7 @@ def test_specialization_general_g(F3, monkeypatch):
     cases = 0
     for q, k in [(2, 5), (3, 5), (4, 4)]:
         spec = gf.make_field(*gf.prime_power(q))
-        pt = tables.poly_tables(spec, k)
+        tables.poly_tables(spec, k)
         for dg in range(1, k):
             for m in range(0, k - dg):
                 f = pr.monic_from_code(spec, k, (7 * dg + 3 * m + 1) % q**k)
@@ -96,8 +102,8 @@ def test_specialization_general_g(F3, monkeypatch):
                     if g.degree != dg or pr.poly_gcd(f, g).degree != 0:
                         continue
                     expected = direct_specialization_census(f, g, m)
-                    for route in (None, pt):
-                        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, route=route: route)
+                    for route in ("factor", "tables"):
+                        monkeypatch.setattr(st, "census_route", lambda spec, k, members, route=route: route)
                         assert st.specialization_counts(f, g, m).counts == expected, (q, f, g, m)
                     cases += 1
     assert cases > 30
@@ -121,8 +127,10 @@ def test_specialization_preconditions(F2):
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
-def test_progression_codes_match_members(q, kmax):
-    # the F_p-digit kernel against Poly arithmetic, for every coprime residue class; nu > 1 at q = 4, 8, 9
+def test_progression_codes_match_members(q, kmax, monkeypatch):
+    # the census engine's F_p-digit kernel against its Poly arithmetic and against f + D*g listed here, for every
+    # coprime residue class; nu > 1 at q = 4, 8, 9
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
     spec = gf.make_field(*gf.prime_power(q))
     for k in range(2, kmax + 1):
         for delta in range(1, k):
@@ -134,7 +142,9 @@ def test_progression_codes_match_members(q, kmax):
                     f = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
                     if pr.poly_gcd(f, d_poly).degree == 0:
                         prog = st.ProgressionSpec(d_poly, f, k)
-                        assert prog.codes().tolist() == [pr.monic_code(g) for g in prog.members()]
+                        direct = [pr.monic_code(pr.poly_add(f, pr.poly_mul(d_poly, g))) for g in pr.all_monic(spec, k - delta)]
+                        members = [pr.monic_code(g) for g in _class_members(prog, "factor")[1]]
+                        assert _class_members(prog, "tables")[1].tolist() == members == direct
 
 
 @pytest.mark.parametrize("p,nu,kmax", [(2, 1, 4), (3, 1, 3)])
@@ -316,34 +326,43 @@ def test_census_tables_boundary(monkeypatch):
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2 = gf.make_field(2, 1)
     # 2 + 4 + ... + 2^10 = 2,046 codes: 110,000 + 0.25 * 2,046 = 110,511.5 us against 220 us a member
-    assert st.census_tables(F2, 10, 502) is None  # 110,440 us of factoring is cheaper
-    pt = st.census_tables(F2, 10, 503)  # 110,660 us of factoring is not
-    assert pt is not None and pt.kmax == 10
-    assert st.census_tables(F2, 3, 1) is pt  # tables already built cover any smaller degree
-    assert st.census_tables(F2, 27, 2**27) is None  # PolyTables would exceed the enumeration budget
+    assert st.census_route(F2, 10, 502) == "factor"  # 110,440 us of factoring is cheaper
+    assert st.census_route(F2, 10, 503) == "tables"  # 110,660 us of factoring is not
+    assert F2 not in tables._PT_CACHE  # the rule builds nothing
+    pt = tables.poly_tables(F2, 10)
+    assert st.census_route(F2, 3, 1) == "tables"  # tables already built cover any smaller degree
+    assert st.census_route(F2, 27, 2**27) == "factor"  # PolyTables would exceed the enumeration budget
     assert tables._PT_CACHE[F2] is pt
     # the caller's budget bounds the tables a census may build, on both sides of q^k = 2^10
     tables._PT_CACHE.clear()
-    assert st.census_tables(F2, 10, 10**6, budget=2**9) is None
+    assert st.census_route(F2, 10, 10**6, budget=2**9) == "factor"
+    assert st.census_route(F2, 10, 10**6, budget=2**10) == "tables"
+    # a progression scan (members None) reads tables whatever they cost
+    assert st.census_route(F2, 27) == "tables"
     assert F2 not in tables._PT_CACHE
-    pt = st.census_tables(F2, 10, 10**6, budget=2**10)
-    assert pt is not None and pt.kmax == 10
 
 
 def test_ring_route_boundary(monkeypatch):
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2 = gf.make_field(2, 1)
     # tables for F_2, k = 10 cost 110,511.5 us; at 0.12 us a pair product the ring is no dearer up to 920,929
-    assert st.ring_is_cheapest(2, 10, 920_929)
-    assert not st.ring_is_cheapest(2, 10, 920_930)
+    assert st.census_route(F2, 10, products=920_929) == "ring"
+    assert st.census_route(F2, 10, products=920_930) == "tables"
     # against factoring 4 members, 880 us: 7,333 pair products cost 879.96 us and 7,334 cost 880.08 us
-    assert st.ring_is_cheapest(2, 10, 7_333, members=4)
-    assert not st.ring_is_cheapest(2, 10, 7_334, members=4)
+    assert st.census_route(F2, 10, 4, 7_333) == "ring"
+    assert st.census_route(F2, 10, 4, 7_334) == "factor"
     # a census of one class at k = 10: deg D = 4 takes the ring (37,376 pair products, 4,485.12 us against
     # 220 * 64), deg D = 5 factors its 32 members (154,624 pair products, 18,554.88 us against 7,040)
     d4, d5 = _progression(F2, (1, 1, 0, 0, 1), (1,), 10), _progression(F2, (1, 0, 1, 0, 0, 1), (1,), 10)
-    assert st.progression_route(d4) == (True, 37_376)
-    assert st.progression_route(d5) == (False, 32)
+    parts = partitions_of(10)
+    assert (d4.size, st.ring_products(2, 4, parts), d5.size, st.ring_products(2, 5, parts)) == (64, 37_376, 32, 154_624)
+    assert st.census_route(F2, 10, 64, 37_376) == "ring"
+    assert st.census_route(F2, 10, 32, 154_624) == "factor"
+    # built tables do not move a census off the ring
+    tables.poly_tables(F2, 10)
+    assert st.census_route(F2, 10, 64, 37_376) == "ring"
+    assert st.census_route(F2, 10, 32, 154_624) == "tables"
+    tables._PT_CACHE.clear()
     # a progression scan prices a ring for each modulus it may reach, at most one a cell: at F_2, k = 8, m = 1
     # (deg D = 6, 114,688 pair products a ring) 8 rings cost 110,100.48 us, no more than the 110,127.5 us of
     # tables, and 9 rings cost more.  Here the first modulus, t^6, holds every cell, so one ring is built.
@@ -357,10 +376,9 @@ def test_ring_route_boundary(monkeypatch):
     assert longer.per_cell[:8] == cut.per_cell
 
 
-def _force_route(monkeypatch, route, pt):
-    """Make every census take `route`: "factor", "tables" (reading `pt`) or "ring"."""
-    monkeypatch.setattr(st, "ring_is_cheapest", lambda *args, **kwargs: route == "ring")
-    monkeypatch.setattr(st, "census_tables", lambda *args, **kwargs: pt if route == "tables" else None)
+def _force_route(monkeypatch, route):
+    """Make every census take `route`: "factor", "tables" or "ring"."""
+    monkeypatch.setattr(st, "census_route", lambda *args, **kwargs: route)
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3), (9, 3)])
@@ -369,10 +387,10 @@ def test_census_routes_agree(q, kmax, monkeypatch):
     # ring too, one ring a modulus; each ring's psi_n sums to q^n, and it makes the convolutions `ring_products`
     # projects
     spec = gf.make_field(*gf.prime_power(q))
-    pt = tables.poly_tables(spec, kmax)
+    tables.poly_tables(spec, kmax)
     results = {}
     for route in ("factor", "tables", "ring"):
-        _force_route(monkeypatch, route, pt)
+        _force_route(monkeypatch, route)
         intervals, classes = results[route] = [], []
         for k in range(2, kmax + 1):
             parts = partitions_of(k)

@@ -234,11 +234,11 @@ def test_whole_degree_routes_agree(q, kmax, monkeypatch):
     # interval scans (summary, per-cell JSON and CSV) and the nu mean and variance, by factoring and by table lookup;
     # q = 2 and 4 include the p = m = 2 scans, whose cells are classified one by one
     spec = gf.make_field(*gf.prime_power(q))
-    pt = tables.poly_tables(spec, kmax)
+    tables.poly_tables(spec, kmax)
     results = {}
-    for route in (None, pt):
-        monkeypatch.setattr(st, "census_tables", lambda spec, k, members, budget, route=route: route)
-        out = results[route is None] = []
+    for route in ("factor", "tables"):
+        monkeypatch.setattr(st, "census_route", lambda spec, k, members, budget, route=route: route)
+        out = results[route] = []
         for k in range(2, kmax + 1):
             for m in range(1, k):
                 out.append(st.mean_variance_nu(spec, k, m))
@@ -247,7 +247,7 @@ def test_whole_degree_routes_agree(q, kmax, monkeypatch):
                     report = verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))
                     out.append(canonical_json(verify.report_to_dict(report)))
                     out.append(cli._csv_text(report))
-    assert results[True] == results[False]
+    assert results["factor"] == results["tables"]
 
 
 def test_scan_intervals_worker_determinism(F3):
@@ -322,7 +322,7 @@ def test_scan_progressions_ring_matches_tables(q, k, m, monkeypatch):
     spec = gf.make_field(q, 1)
     out = {}
     for ring in (True, False):
-        monkeypatch.setattr(st, "ring_is_cheapest", lambda *args, ring=ring, **kwargs: ring)
+        monkeypatch.setattr(st, "census_route", lambda *args, ring=ring, **kwargs: "ring" if ring else "tables")
         monkeypatch.setattr(tables, "_PT_CACHE", {})
         out[ring] = []
         for lam in (Partition((k,)), Partition((k - 1, 1)), Partition((2,) + (1,) * (k - 2))):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure the constants of the census route rule, `statistics.census_tables`.
+"""Measure the constants of the census route rule, `statistics.census_route`.
 
 Every figure is taken in fresh interpreter processes running this
 checkout's `src/`:
