@@ -19,14 +19,17 @@ the test suite cross-checks the two.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
 type (int16, kept in `types[d]`) and, below the top degree, the rank of
-the largest irreducible factor (int32, dropped after the build).  For
-each factor degree e < d the pairs are the irreducibles P of degree e
-with the codes g of degree d - e whose largest factor ranks at most
-rank(P): a prefix of the g sorted by that rank.  All pairs of one e are
-multiplied at once through the field's add/mul index tables.  At q = 2,
-k = 16 the build peaks at about 21 B per sieved code (tracemalloc, over
-the 2 + 4 + ... + 2^16 codes of degrees 1..16), and the tables it keeps
-take about 3-5 B per code.
+the largest irreducible factor.  Once degree d is finished its codes are
+sorted by that rank, once, and the order and the sorted ranks (int32
+each, dropped after the build) replace it.  For each factor degree e < d
+the pairs are the irreducibles P of degree e with the codes g of degree
+d - e whose largest factor ranks at most rank(P): a prefix of that order.
+All pairs of one e are multiplied at once, through the field's add/mul
+index tables, or at q = 2, where a code is the bit vector of the
+coefficients below the leading 1, as a carry-less multiply with no table
+lookups.  At q = 2 the build peaks at about 12 B per sieved code at
+k = 16 and 10 B at k = 18 (tracemalloc, over the 2 + 4 + ... + 2^k codes
+of degrees 1..k), and the tables it keeps take about 3-5 B per code.
 """
 
 from __future__ import annotations
@@ -61,6 +64,25 @@ def _product_codes(add: np.ndarray, mul: np.ndarray, q: int, a: np.ndarray, da: 
             coeff = term if coeff is None else add[coeff * q + term]
         code *= q
         code += coeff
+    return code
+
+
+def _clmul_codes(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
+    """`_product_codes` at q = 2, as a carry-less multiply with no table lookups.
+
+    A monic code over F_2 is the bit vector of the coefficients below the
+    leading 1, so the product XORs shifted copies of the longer factor, one
+    for each set bit of the shorter one.
+    """
+    if da < db:
+        a, da, b, db = b, db, a, da
+    full = a.astype(np.int64) | (1 << da)
+    code = (full << db) ^ (1 << (da + db))  # b's leading 1, less the product's
+    b = b.copy()
+    for _ in range(db):
+        code ^= full * (b & 1)
+        full <<= 1
+        b >>= 1
     return code
 
 
@@ -141,7 +163,8 @@ class PolyTables:
         q = spec.q
         add = np.array(self.field.add, dtype=np.intp)
         mul = np.array(self.field.mul, dtype=np.intp)
-        ranks: dict[int, np.ndarray] = {}  # per code, the rank of its largest irreducible factor (d < kmax)
+        # per degree d < kmax: the codes sorted by the rank of their largest irreducible factor, and those ranks
+        ranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         first_rank: dict[int, int] = {}  # rank of the smallest irreducible code of each degree
         next_rank = 0
         for d in range(1, kmax + 1):
@@ -153,12 +176,13 @@ class PolyTables:
             rank = np.empty(q**d, dtype=np.int32) if d < kmax else None
             for e in range(1, d):
                 # pairs (g, P): P irreducible of degree e, g of degree d - e whose factors all rank <= rank(P)
-                order = np.argsort(ranks[d - e], kind="stable")
+                order, sorted_ranks = ranks[d - e]
                 p_ranks = first_rank[e] + np.arange(len(self.irr_codes[e]), dtype=np.int32)
-                counts = np.searchsorted(ranks[d - e][order], p_ranks, side="right")
+                counts = np.searchsorted(sorted_ranks, p_ranks, side="right")
                 p_idx = np.repeat(np.arange(len(counts)), counts)
                 g = order[np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)]
-                prod = _product_codes(add, mul, q, g, d - e, self.irr_codes[e][p_idx], e)
+                p_codes = self.irr_codes[e][p_idx]
+                prod = _clmul_codes(g, d - e, p_codes, e) if q == 2 else _product_codes(add, mul, q, g, d - e, p_codes, e)
                 join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
                 types[prod] = join[self.types[d - e][g]]
                 if rank is not None:
@@ -172,7 +196,8 @@ class PolyTables:
             next_rank += len(irr)
             if rank is not None:
                 rank[irr] = first_rank[d] + np.arange(len(irr), dtype=np.int32)
-                ranks[d] = rank
+                order = np.argsort(rank, kind="stable").astype(np.int32)
+                ranks[d] = order, rank[order]
 
     # -- lookups ------------------------------------------------------------
 

@@ -268,13 +268,16 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     fixed = None if per_rep else check_hypotheses_interval(spec, k, m, pr.monic_from_code(spec, k, 0)).status
     agg = _Aggregator()
     rows: Optional[list[CellRecord]] = [] if opts.per_cell else None
-    if fixed is not None and rows is None:  # every cell has one status and needs no row
+    if fixed is not None:  # every cell has one status
         agg.add(counts, num, den, fixed)
-        return agg.report("interval", q, k, m, lam, expected, rows)
+        if rows is None:
+            return agg.report("interval", q, k, m, lam, expected, rows)
     for base, count in enumerate(counts):
         rep = pr.monic_from_code(spec, k, base * block)
-        status = check_hypotheses_interval(spec, k, m, rep).status if per_rep else fixed
-        agg.add([count], num, den, status)
+        status = fixed
+        if per_rep:
+            status = check_hypotheses_interval(spec, k, m, rep).status
+            agg.add([count], num, den, status)
         if rows is not None:
             rows.append(CellRecord(base, pr.poly_text(rep), count, expected, abs(count - expected), status))
     return agg.report("interval", q, k, m, lam, expected, rows)

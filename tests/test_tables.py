@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ffstat import gf, polyring as pr, tables
@@ -10,8 +11,16 @@ from ffstat.combinatorics import Partition, exact_prime_count, exact_type_count
 
 from helpers import type_of_code
 
-# (p, nu, kmax): every degree up to kmax is checked, q^kmax about 10^5 or below
-DEEP_FIELDS = [(2, 1, 16), (3, 1, 10), (2, 2, 8), (5, 1, 7), (3, 2, 5)]
+# (p, nu, kmax): every degree up to kmax is checked, q^kmax about 10^5 or below, and at q = 2 up to
+# degree 18, the largest sieve that perfbench runs
+DEEP_FIELDS = [(2, 1, 16), (2, 1, 18), (3, 1, 10), (2, 2, 8), (5, 1, 7), (3, 2, 5)]
+
+
+def _table_kernel(spec):
+    """`tables._product_codes` bound to the field's add/mul index tables."""
+    ft = gf.field_table(spec)
+    add, mul = np.array(ft.add, dtype=np.intp), np.array(ft.mul, dtype=np.intp)
+    return lambda a, da, b, db: tables._product_codes(add, mul, spec.q, a, da, b, db)
 
 
 @pytest.mark.parametrize("p,nu,kmax", DEEP_FIELDS)
@@ -26,6 +35,29 @@ def test_sieve_matches_closed_forms(p, nu, kmax):
         assert len(irr) == exact_prime_count(spec.q, d), (spec.q, d)
         assert (irr[1:] > irr[:-1]).all()
         assert (pt.types[d][irr] == pt.pid_of(Partition((d,)))).all()
+
+
+def test_clmul_matches_table_convolution(F2):
+    # every split (da, db) of a product degree up to the default budget's 2^26, on seeded random
+    # codes and the all-ones codes; the sieve passes its g codes as int32
+    convolve = _table_kernel(F2)
+    top = gf.DEFAULT_BUDGET.bit_length() - 1
+    rng = np.random.default_rng(20132)
+    for da in range(top + 1):
+        for db in range(top + 1 - da):
+            a = np.append(rng.integers(0, 2**da, 40), 2**da - 1).astype(np.int32)
+            b = np.append(rng.integers(0, 2**db, 40), 2**db - 1)
+            assert (tables._clmul_codes(a, da, b, db) == convolve(a, da, b, db)).all(), (da, db)
+
+
+def test_clmul_sieve_matches_table_sieve(F2, monkeypatch):
+    kmax = 18
+    clmul = tables.poly_tables(F2, kmax)
+    monkeypatch.setattr(tables, "_clmul_codes", _table_kernel(F2))
+    table = tables.PolyTables(F2, kmax)
+    for d in range(1, kmax + 1):
+        assert np.array_equal(clmul.types[d], table.types[d]), d
+        assert np.array_equal(clmul.irr_codes[d], table.irr_codes[d]), d
 
 
 @pytest.mark.parametrize("p,nu,d", [(2, 1, 16), (3, 2, 5)])
@@ -58,7 +90,7 @@ def test_sieve_memory_per_code(F2):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * codes, f"{peak / codes:.1f} B per sieved code"
+    assert peak <= 24 * codes, f"{peak / codes:.1f} B per sieved code"
 
 
 def test_member_codes_checks_degrees(F3):
