@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional
 
 from ffstat import __version__, gf, polyring as pr
@@ -29,7 +29,7 @@ from ffstat.combinatorics import (
     frac_str,
     partitions_of,
 )
-from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldElement, FieldSpec
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
 
 if TYPE_CHECKING:  # annotations only: handlers import these for the subcommands that run them
@@ -38,21 +38,12 @@ if TYPE_CHECKING:  # annotations only: handlers import these for the subcommands
 CSV_HEADER = "q,k,m,lambda,cell_id,count,expected_num,expected_den,abs_dev,covered"
 
 
-@dataclass
-class RunConfig:
-    budget: int
-    output: Optional[str]
-    fmt: str
-    dry_run: bool
-    timing: bool
-
-
 # ---------------------------------------------------------------------------
 # Text grammars
 # ---------------------------------------------------------------------------
 
-def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
-    """`[d0,d1,...]` (short vectors zero-padded) or a bare integer for prime fields."""
+def parse_field_element(text: str, spec: FieldSpec) -> int:
+    """The index sum d_i p^i of `[d0,d1,...]` (short vectors zero-padded) or of a bare integer for prime fields."""
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
@@ -71,7 +62,7 @@ def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
         for d in digits:
             if d >= spec.p:
                 raise ValueError(f"digit {d} >= p = {spec.p}")
-        return gf.element(spec, digits)
+        return sum(d * spec.p**i for i, d in enumerate(digits))
     if spec.nu != 1:
         raise ValueError(f"bare integer {text!r} only allowed over prime fields; use [d0,...,d{spec.nu - 1}]")
     if not text.isdigit():
@@ -79,7 +70,7 @@ def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
     value = int(text)
     if value >= spec.p:
         raise ValueError(f"digit {value} >= p = {spec.p}")
-    return gf.element(spec, [value])
+    return value
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -106,9 +97,7 @@ def _split_top_level(text: str) -> list[str]:
 
 def parse_poly(text: str, spec: FieldSpec) -> Poly:
     """Comma-separated coefficients low-to-high, each in element text form."""
-    tokens = _split_top_level(text)
-    elements = [parse_field_element(tok, spec) for tok in tokens]
-    return pr.poly_from_elements(spec, elements)
+    return pr.poly_from_indices(spec, [parse_field_element(tok, spec) for tok in _split_top_level(text)])
 
 
 def parse_partition(text: str) -> Partition:
@@ -147,9 +136,9 @@ def make_envelope(spec, command, params, result, excluded, timing_ms):
     }
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _write(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -210,14 +199,14 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def cmd_pi(args, cfg):
+def cmd_pi(args):
     spec = _field_from_args(args)
     params = {"k": args.k}
     _require(args.k >= 1, "k must be >= 1")
     return spec, params, (0, 0), lambda: (exact_prime_count(spec.q, args.k), None, 0)
 
 
-def cmd_pi_type(args, cfg):
+def cmd_pi_type(args):
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "lambda": str(lam)}
@@ -225,13 +214,13 @@ def cmd_pi_type(args, cfg):
     return spec, params, (0, 0), lambda: (exact_type_count(spec.q, args.k, lam), None, 0)
 
 
-def cmd_partition_prob(args, cfg):
+def cmd_partition_prob(args):
     lam = parse_partition(args.lam)
     params = {"lambda": str(lam)}
     return None, params, (0, 0), lambda: (frac_str(cycle_type_probability(lam)), None, 0)
 
 
-def cmd_totient(args, cfg):
+def cmd_totient(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -241,7 +230,7 @@ def cmd_totient(args, cfg):
     return spec, params, (0, 0), lambda: (st.poly_totient(d_poly), None, 0)
 
 
-def cmd_interval(args, cfg):
+def cmd_interval(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -258,7 +247,7 @@ def cmd_interval(args, cfg):
     return spec, params, (1, interval.size), lambda: (_census_result(st.interval_counts(interval), lam), None, 0)
 
 
-def cmd_progression(args, cfg):
+def cmd_progression(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -275,7 +264,7 @@ def cmd_progression(args, cfg):
     return spec, params, (1, work), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
 
 
-def cmd_nu(args, cfg):
+def cmd_nu(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -303,7 +292,7 @@ def cmd_nu(args, cfg):
     return spec, params, (1, enumeration), run
 
 
-def cmd_radical(args, cfg):
+def cmd_radical(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -320,7 +309,7 @@ def cmd_radical(args, cfg):
     return spec, params, (1, spec.q ** (interval.k // args.d)), run
 
 
-def cmd_mean_variance(args, cfg):
+def cmd_mean_variance(args):
     from ffstat import statistics as st
 
     spec = _field_from_args(args)
@@ -328,13 +317,13 @@ def cmd_mean_variance(args, cfg):
     _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
 
     def run():
-        mean, var = st.mean_variance_nu(spec, args.k, args.m, cfg.budget)
+        mean, var = st.mean_variance_nu(spec, args.k, args.m, args.budget)
         return {"mean": frac_str(mean), "variance": frac_str(var)}, None, 0
 
     return spec, params, (spec.q ** (args.k - args.m - 1), spec.q**args.k), run
 
 
-def cmd_variance_trend(args, cfg):
+def cmd_variance_trend(args):
     from ffstat import verify
 
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
@@ -347,7 +336,7 @@ def cmd_variance_trend(args, cfg):
     enumeration = sum(q**args.k for q in q_list)
 
     def run():
-        report = verify.variance_trend(args.k, args.m, q_list, cfg.budget)
+        report = verify.variance_trend(args.k, args.m, q_list, args.budget)
         result = {
             "limit": report.limit,
             "per_q": [{"q": q, "ratio": frac_str(ratio)} for q, ratio in report.per_q],
@@ -357,14 +346,14 @@ def cmd_variance_trend(args, cfg):
     return None, params, (cells, enumeration), run
 
 
-def _scan_result(cfg: RunConfig, report: verify.DeviationReport):
+def _scan_result(args, report: verify.DeviationReport):
     from ffstat import verify
 
-    result = report if cfg.fmt == "csv" else verify.report_to_dict(report)
+    result = report if args.fmt == "csv" else verify.report_to_dict(report)
     return result, report.excluded, 0
 
 
-def cmd_scan_intervals(args, cfg):
+def cmd_scan_intervals(args):
     from ffstat import verify
 
     spec = _field_from_args(args)
@@ -373,14 +362,14 @@ def cmd_scan_intervals(args, cfg):
     _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
     _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
     opts = verify.ScanOptions(
-        budget=cfg.budget,
-        per_cell=args.per_cell or cfg.fmt == "csv",
+        budget=args.budget,
+        per_cell=args.per_cell or args.fmt == "csv",
     )
     projection = (spec.q ** (args.k - args.m - 1), spec.q**args.k)
-    return spec, params, projection, lambda: _scan_result(cfg, verify.scan_intervals(spec, args.k, args.m, lam, opts))
+    return spec, params, projection, lambda: _scan_result(args, verify.scan_intervals(spec, args.k, args.m, lam, opts))
 
 
-def cmd_scan_progressions(args, cfg):
+def cmd_scan_progressions(args):
     from ffstat import verify
 
     spec = _field_from_args(args)
@@ -395,17 +384,17 @@ def cmd_scan_progressions(args, cfg):
     _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
     cells = spec.q ** (2 * delta) if args.max_cells is None else min(spec.q ** (2 * delta), args.max_cells)
     opts = verify.ScanOptions(
-        budget=cfg.budget,
-        per_cell=args.per_cell or cfg.fmt == "csv",
+        budget=args.budget,
+        per_cell=args.per_cell or args.fmt == "csv",
         max_cells=args.max_cells,
     )
     projection = (cells, cells * spec.q ** (args.m + 1))
     return spec, params, projection, lambda: _scan_result(
-        cfg, verify.scan_progressions(spec, args.k, args.m, lam, opts)
+        args, verify.scan_progressions(spec, args.k, args.m, lam, opts)
     )
 
 
-def cmd_hypotheses(args, cfg):
+def cmd_hypotheses(args):
     from ffstat import verify
 
     spec = _field_from_args(args)
@@ -425,7 +414,7 @@ def _counterexample_result(rep: verify.CounterexampleReport):
     return asdict(rep), None, 1 if rep.agrees is False else 0
 
 
-def cmd_counterexample(args, cfg):
+def cmd_counterexample(args):
     from ffstat import verify
 
     if args.which == "m0":
@@ -438,7 +427,7 @@ def cmd_counterexample(args, cfg):
     spec = gf.make_field(args.p, 2 * args.n)
     params = {"variant": f"m1:{args.variant}", "p": args.p, "n": args.n}  # argparse allows p2 and p2+1 only
     return spec, params, (1, spec.q**2), lambda: _counterexample_result(
-        verify.counterexample_m1(args.p, args.n, args.variant, cfg.budget)
+        verify.counterexample_m1(args.p, args.n, args.variant, args.budget)
     )
 
 
@@ -570,32 +559,31 @@ def run_command(argv) -> int:
         print(f"ffstat: --budget {args.budget} must be >= 0", file=sys.stderr)
         return 2
 
-    cfg = RunConfig(budget=args.budget, output=args.output, fmt=args.fmt, dry_run=args.dry_run, timing=args.timing)
-    if cfg.fmt == "csv" and args.command not in ("scan-intervals", "scan-progressions"):
+    if args.fmt == "csv" and args.command not in ("scan-intervals", "scan-progressions"):
         print(f"ffstat: csv format is only available for scans, not {args.command!r}", file=sys.stderr)
         return 2
 
     start = time.monotonic()
     try:
-        spec, params, (cells, enumeration), run = args.handler(args, cfg)
-        if cfg.dry_run:
+        spec, params, (cells, enumeration), run = args.handler(args)
+        if args.dry_run:
             result, excluded, code = {"projected_cells": cells, "projected_enumeration": enumeration}, None, 0
-        elif enumeration > cfg.budget:
-            raise BudgetError(f"projected enumeration {enumeration} over {cells} cells exceeds the budget {cfg.budget}")
+        elif enumeration > args.budget:
+            raise BudgetError(f"projected enumeration {enumeration} over {cells} cells exceeds the budget {args.budget}")
         else:
             result, excluded, code = run()
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ffstat: {exc}", file=sys.stderr)
         return 2
-    timing_ms = int((time.monotonic() - start) * 1000) if cfg.timing else 0
+    timing_ms = int((time.monotonic() - start) * 1000) if args.timing else 0
 
-    if cfg.fmt == "csv" and not cfg.dry_run:
+    if args.fmt == "csv" and not args.dry_run:
         text = _csv_text(result)
     else:
         command = args.command if args.command != "counterexample" else f"counterexample {args.which}"
         text = canonical_json(make_envelope(spec, command, params, result, excluded, timing_ms))
     try:
-        _write(cfg, text)
+        _write(args, text)
     except OSError as exc:
         print(f"ffstat: cannot write the report: {exc}", file=sys.stderr)
         return 2

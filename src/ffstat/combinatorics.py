@@ -56,10 +56,10 @@ def _partition_tuples(k: int, cap: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partitions_of(k: int, bound: int = PARTITION_BOUND) -> list[Partition]:
+def partitions_of(k: int) -> list[Partition]:
     """All partitions of k in reverse-lexicographic order: (k) first, (1,...,1) last."""
-    if not 1 <= k <= bound:
-        raise ValueError(f"k = {k} out of range 1..{bound}")
+    if not 1 <= k <= PARTITION_BOUND:
+        raise ValueError(f"k = {k} out of range 1..{PARTITION_BOUND}")
     return [Partition(t) for t in _partition_tuples(k, k)]
 
 

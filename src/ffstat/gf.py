@@ -1,4 +1,4 @@
-"""The finite field F_q, q = p^nu: construction, element forms and index tables.
+"""The finite field F_q, q = p^nu: construction, element texts and index tables.
 
 A field is described by a `FieldSpec` holding the characteristic p, the
 exponent nu and a canonical monic irreducible modulus of degree nu over
@@ -7,11 +7,11 @@ polynomials are ordered by their coefficient vector (c0, ..., c_{nu-1})
 read as a base-p integer; this makes field construction deterministic
 without external tables.
 
-Elements are digit vectors of length exactly nu over F_p, low-to-high
-relative to the modulus.  The text form is `[d0,d1,...]`; prime fields
-render a bare integer.  Elements also have a dense integer index in
-[0, q): the digits read as a base-p integer.  All arithmetic runs on
-indices.
+An element is held as its index in [0, q): its digit vector
+(d0, ..., d_{nu-1}) over F_p, low-to-high relative to the modulus, read
+as the base-p integer sum d_i p^i.  Only text shows the digits: the form
+is `[d0,d1,...]`, and prime fields render a bare integer
+(`element_texts`).  All arithmetic runs on indices.
 
 `FieldTable` holds the flat add/mul/neg/inv/p-th-root tables over
 element indices that every polynomial operation reads; `field_table`
@@ -47,13 +47,6 @@ class FieldSpec:
     nu: int
     modulus: tuple[int, ...]
     q: int
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Digit vector of length nu over F_p, low-to-high."""
-
-    coeffs: tuple[int, ...]
 
 
 def is_prime(n: int) -> bool:
@@ -147,7 +140,7 @@ def _fp_irreducible(mod: list[int], p: int) -> bool:
 # Field construction
 # ---------------------------------------------------------------------------
 
-def make_field(p: int, nu: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
+def make_field(p: int, nu: int) -> FieldSpec:
     """Build F_{p^nu} with the canonical (lexicographically least) modulus.
 
     For nu = 1 the modulus is the degenerate placeholder x; elements are
@@ -158,8 +151,8 @@ def make_field(p: int, nu: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
     if nu < 1:
         raise ValueError(f"nu = {nu} must be >= 1")
     q = p**nu
-    if q > q_limit:
-        raise ValueError(f"q = {q} exceeds the field-size limit {q_limit}")
+    if q > DEFAULT_Q_LIMIT:
+        raise ValueError(f"q = {q} exceeds the field-size limit {DEFAULT_Q_LIMIT}")
     if nu == 1:
         return FieldSpec(p=p, nu=1, modulus=(0, 1), q=p)
     for code in range(q):
@@ -172,40 +165,6 @@ def make_field(p: int, nu: int, q_limit: int = DEFAULT_Q_LIMIT) -> FieldSpec:
         if _fp_irreducible(mod, p):
             return FieldSpec(p=p, nu=nu, modulus=tuple(mod), q=q)
     raise AssertionError("no irreducible modulus found")  # unreachable: irreducibles exist
-
-
-# ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-def element(spec: FieldSpec, digits) -> FieldElement:
-    """Validating constructor; digits may be shorter than nu (zero-padded)."""
-    ds = list(digits)
-    if not 1 <= len(ds) <= spec.nu:
-        raise ValueError(f"element needs 1..{spec.nu} digits, got {len(ds)}")
-    for d in ds:
-        if not 0 <= d < spec.p:
-            raise ValueError(f"digit {d} out of range for p = {spec.p}")
-    ds += [0] * (spec.nu - len(ds))
-    return FieldElement(tuple(ds))
-
-
-def element_index(spec: FieldSpec, a: FieldElement) -> int:
-    """Digits read as a base-p integer."""
-    idx = 0
-    for d in reversed(a.coeffs):
-        idx = idx * spec.p + d
-    return idx
-
-
-def element_from_index(spec: FieldSpec, idx: int) -> FieldElement:
-    if not 0 <= idx < spec.q:
-        raise ValueError(f"element index {idx} out of range for q = {spec.q}")
-    ds = []
-    for _ in range(spec.nu):
-        ds.append(idx % spec.p)
-        idx //= spec.p
-    return FieldElement(tuple(ds))
 
 
 # ---------------------------------------------------------------------------

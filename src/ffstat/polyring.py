@@ -1,9 +1,10 @@
 """Polynomial arithmetic over F_q[t] and factorization into prime degrees.
 
 A `Poly` stores its field spec and a trimmed tuple of coefficient
-*indices* (see `gf.element_index`), low-to-high.  The zero polynomial
-has degree `NEG_DEGREE`, a marker ordered below every integer, so
-conditions like "deg f' <= 1" hold for a vanishing derivative.
+*indices*, low-to-high; an element's index is its digits over F_p read
+as a base-p integer (see `gf`).  The zero polynomial has degree
+`NEG_DEGREE`, a marker ordered below every integer, so conditions like
+"deg f' <= 1" hold for a vanishing derivative.
 
 A monic polynomial of degree d has a code: the base-q integer of its d
 lower coefficient indices, the leading 1 left implicit
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from ffstat import gf
 from ffstat.combinatorics import Partition
-from ffstat.gf import FieldElement, FieldSpec
+from ffstat.gf import FieldSpec
 
 NEG_DEGREE = float("-inf")
 
@@ -81,16 +82,8 @@ def poly_from_indices(spec: FieldSpec, indices) -> Poly:
     return Poly(spec, _trim(ci))
 
 
-def poly_from_elements(spec: FieldSpec, elements) -> Poly:
-    return Poly(spec, _trim([gf.element_index(spec, e) for e in elements]))
-
-
 def one_poly(spec: FieldSpec) -> Poly:
     return Poly(spec, (1,))
-
-
-def constant_poly(spec: FieldSpec, e: FieldElement) -> Poly:
-    return Poly(spec, _trim([gf.element_index(spec, e)]))
 
 
 def monomial(spec: FieldSpec, n: int) -> Poly:

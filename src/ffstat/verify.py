@@ -398,12 +398,8 @@ def counterexample_m0(spec: FieldSpec, k: int) -> CounterexampleReport:
         expected = _int_totient(k) * (q - 1) // k
     else:
         expected = 0
-    tk = pr.monomial(spec, k)
-    actual = 0
-    for idx in range(q):
-        member = pr.poly_add(tk, pr.constant_poly(spec, gf.element_from_index(spec, idx)))
-        if pr.is_irreducible(member):
-            actual += 1
+    zeros = (0,) * (k - 1)
+    actual = sum(pr.is_irreducible(Poly(spec, (a, *zeros, 1))) for a in range(q))
     return CounterexampleReport("m0", q, k, expected, actual, expected == actual)
 
 

@@ -103,22 +103,22 @@ def irreducibles(spec, d):
 
 
 def fe_add(spec, a, b):
-    """Sum of two `FieldElement`s, digit by digit mod p."""
-    return gf.FieldElement(tuple((x + y) % spec.p for x, y in zip(a.coeffs, b.coeffs, strict=True)))
+    """Sum of two digit tuples (length nu, low-to-high), digit by digit mod p."""
+    return tuple((x + y) % spec.p for x, y in zip(a, b, strict=True))
 
 
 def fe_mul(spec, a, b):
-    """Product of two `FieldElement`s: schoolbook product, then reduction by the monic modulus."""
+    """Product of two digit tuples: schoolbook product, then reduction by the monic modulus."""
     nu = spec.nu
     prod = [0] * (2 * nu - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             prod[i + j] += x * y
     for top in range(2 * nu - 2, nu - 1, -1):  # t^top = t^top - t^(top-nu) * modulus
         c = prod[top]
         for i, m in enumerate(spec.modulus):
             prod[top - nu + i] -= c * m
-    return gf.FieldElement(tuple(c % spec.p for c in prod[:nu]))
+    return tuple(c % spec.p for c in prod[:nu])
 
 
 def poly_divrem(a, b):

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from ffstat import gf
-from ffstat.cli import parse_field_element
+from ffstat.cli import main, parse_field_element
 
 from helpers import fe_add, fe_mul
 
@@ -56,7 +56,13 @@ def test_prime_power():
 
 
 def _idx(spec, digits):
-    return gf.element_index(spec, gf.element(spec, digits))
+    """Digits (low-to-high, zero-padded to nu) read as a base-p integer."""
+    return sum(d * spec.p**i for i, d in enumerate(digits))
+
+
+def _digits(spec, idx):
+    """The nu base-p digits of an element index, low-to-high."""
+    return tuple(idx // spec.p**i % spec.p for i in range(spec.nu))
 
 
 def _pow(ft, a, n):
@@ -136,10 +142,10 @@ def test_unit_group_order(p, nu):
 def _check_tables(ft, pairs):
     """The tables against the digit-vector oracle on `pairs`, and neg/inv/pth_root by definition."""
     spec, q = ft.spec, ft.q
-    elems = [gf.element_from_index(spec, i) for i in range(q)]
+    elems = [_digits(spec, i) for i in range(q)]
     for a, b in pairs:
-        assert ft.add[a * q + b] == gf.element_index(spec, fe_add(spec, elems[a], elems[b]))
-        assert ft.mul[a * q + b] == gf.element_index(spec, fe_mul(spec, elems[a], elems[b]))
+        assert ft.add[a * q + b] == _idx(spec, fe_add(spec, elems[a], elems[b]))
+        assert ft.mul[a * q + b] == _idx(spec, fe_mul(spec, elems[a], elems[b]))
     zero, one = elems[0], elems[1]
     for a in range(q):
         assert fe_add(spec, elems[a], elems[ft.neg[a]]) == zero
@@ -181,26 +187,36 @@ def test_table_memory_per_pair():
 
 
 def test_element_index_roundtrip():
+    # every element's text parses back to its index
     for p, nu in SMALL_FIELDS:
         spec = gf.make_field(p, nu)
-        for i in range(spec.q):
-            assert gf.element_index(spec, gf.element_from_index(spec, i)) == i
+        texts = gf.element_texts(spec)
+        assert len(texts) == spec.q
+        for i, text in enumerate(texts):
+            assert parse_field_element(text, spec) == i
+            if nu > 1:
+                assert text == "[" + ",".join(map(str, _digits(spec, i))) + "]"
 
 
 def test_element_text_forms(F3, F4):
     assert gf.element_texts(F3)[_idx(F3, [2])] == "2"
     assert gf.element_texts(F4)[_idx(F4, [1, 1])] == "[1,1]"
     # short vectors are zero-padded on input but always emitted in full
-    assert parse_field_element("[1]", F4) == gf.element(F4, [1, 0])
-    for spec in (F3, F4):
-        for i, text in enumerate(gf.element_texts(spec)):
-            assert parse_field_element(text, spec) == gf.element_from_index(spec, i)
+    assert parse_field_element("[1]", F4) == _idx(F4, [1, 0]) == 1
+    assert parse_field_element("[0,1]", F4) == 2
+    assert gf.element_texts(F4)[parse_field_element("[1]", F4)] == "[1,0]"
 
 
-def test_element_validation(F3, F4):
+def test_element_validation(F3, F4, capsys):
+    with pytest.raises(ValueError, match="digit 3 >= p = 3"):
+        parse_field_element("[3]", F3)
+    with pytest.raises(ValueError, match="has 3 components, field has nu = 2"):
+        parse_field_element("[0,0,1]", F4)
+    # the same texts on the command line: exit 2 with one line
+    for argv in (["totient", "--p", "3", "--D", "[3]"], ["totient", "--p", "2", "--nu", "2", "--D", "[0,0,1]"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("ffstat: "), (argv, err)
+    # the oracle takes digit tuples of one length only
     with pytest.raises(ValueError):
-        gf.element(F3, [3])
-    with pytest.raises(ValueError):
-        gf.element(F4, [0, 0, 1])
-    with pytest.raises(ValueError):
-        fe_add(F4, gf.element(F3, [1]), gf.element(F4, [1, 0]))
+        fe_add(F4, (1,), (1, 0))

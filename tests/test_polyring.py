@@ -107,7 +107,7 @@ def test_factor_examples(F2, F3):
 
 def test_factor_nonmonic_unit(F5):
     f = P(F5, 2, 0, 3)  # 3t^2 + 2
-    monic = pr.poly_mul(pr.constant_poly(F5, gf.element(F5, [2])), f)  # times 3^{-1} = 2
+    monic = pr.poly_mul(P(F5, 2), f)  # times 3^{-1} = 2
     assert monic.ci == (4, 0, 1)  # t^2 - 1 = (t - 1)(t + 1)
     assert pr.factor(f) == pr.factor(monic) == ((1, 1), (1, 1))
 

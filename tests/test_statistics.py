@@ -110,7 +110,7 @@ def test_specialization_general_g(F3, monkeypatch):
 
 
 def test_specialization_nonmonic_scaling(F3):
-    two = pr.constant_poly(F3, gf.element(F3, [2]))
+    two = P(F3, 2)
     f = P(F3, 1, 0, 0, 1)
     census_monic = st.specialization_counts(f, pr.one_poly(F3), 1)
     census_scaled = st.specialization_counts(pr.poly_mul(two, f), two, 1)
