@@ -563,6 +563,8 @@ def run_command(argv) -> int:
         print(f"ffstat: csv format is only available for scans, not {args.command!r}", file=sys.stderr)
         return 2
 
+    if hasattr(sys, "set_int_max_str_digits"):  # exact integers print in full, however long
+        sys.set_int_max_str_digits(0)
     start = time.monotonic()
     try:
         spec, params, (cells, enumeration), run = args.handler(args)
@@ -572,16 +574,15 @@ def run_command(argv) -> int:
             raise BudgetError(f"projected enumeration {enumeration} over {cells} cells exceeds the budget {args.budget}")
         else:
             result, excluded, code = run()
+        timing_ms = int((time.monotonic() - start) * 1000) if args.timing else 0
+        if args.fmt == "csv" and not args.dry_run:
+            text = _csv_text(result)
+        else:
+            command = args.command if args.command != "counterexample" else f"counterexample {args.which}"
+            text = canonical_json(make_envelope(spec, command, params, result, excluded, timing_ms))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ffstat: {exc}", file=sys.stderr)
         return 2
-    timing_ms = int((time.monotonic() - start) * 1000) if args.timing else 0
-
-    if args.fmt == "csv" and not args.dry_run:
-        text = _csv_text(result)
-    else:
-        command = args.command if args.command != "counterexample" else f"counterexample {args.which}"
-        text = canonical_json(make_envelope(spec, command, params, result, excluded, timing_ms))
     try:
         _write(args, text)
     except OSError as exc:

@@ -113,9 +113,12 @@ def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
 
     `f_ci` is the index tuple of monic f and `rows` are g's
     `multiplier_rows` for m and deg f.  h -> f + g*h is F_p-affine on code
-    digits: h-digit s adds its multiple of row s.  Codes are built one digit
-    at a time over all members, so no members x digits matrix is held: about
-    24 B a member (int64 codes and two digit columns).
+    digits: h-digit s adds its multiple of row s, and row 0 varies fastest.
+    The rows may begin with identity rows, one per base-p code digit of a
+    residue r of degree below deg g; the codes are then those of f + r + g*h,
+    r's code fastest.  Codes are built one digit at a time over all members,
+    so no members x digits matrix is held: about 24 B a member (int64 codes
+    and two digit columns).
     """
     q, p = ft.q, ft.spec.p
     k = len(f_ci) - 1

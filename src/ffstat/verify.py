@@ -12,14 +12,14 @@ deterministic; `ScanOptions.workers` is accepted and ignored.  Both
 scans take their route from `statistics.census_route`.  An interval
 scan counts all q^k monic polynomials of degree k on the route it
 picks, so a small one factors its members.  A progression scan never
-factors: it counts each modulus' classes at once, in one
-`statistics.ResidueRing` a modulus, when the rings it may build are
-priced no dearer than type tables for degree k, and otherwise reads its
-cells from tables.  `tables`, and with it numpy, is imported only inside
-the functions that build or read tables, so the hypothesis checks, the
-counterexamples, small interval scans and progression scans with small
-moduli never load it.  The command line imports this module only for the
-subcommands that run it.
+factors: it counts all classes of a modulus at once, in one
+`statistics.ResidueRing` a modulus when the rings it may build are
+priced no dearer than type tables for degree k, and otherwise from one
+listing of the degree-k codes a modulus in the tables.  `tables`, and
+with it numpy, is imported only inside the functions that build or read
+tables, so the hypothesis checks, the counterexamples, small interval
+scans and progression scans with small moduli never load it.  The
+command line imports this module only for the subcommands that run it.
 """
 
 from __future__ import annotations
@@ -289,11 +289,12 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     Cells are (D, f) pairs with f a coprime residue, in (D-code, f-code)
     order, optionally truncated after `max_cells` cells (deterministic
     prefix, never sampled).  Each cell's count is compared to the exact
-    rational pi_q(k; lam) / phi(D).  The counts of one D come from its
-    `statistics.ResidueRing`, built at its first cell, when the rings the
+    rational pi_q(k; lam) / phi(D).  All classes of one D are counted at
+    its first cell: by its `statistics.ResidueRing` when the rings the
     scan may reach, at most one a cell, are priced no dearer than type
-    tables for degree k (`statistics.census_route`); otherwise each
-    cell reads its members' codes in the tables.
+    tables for degree k (`statistics.census_route`); otherwise from one
+    `tables.member_codes` listing of the q^k monic polynomials of degree
+    k as f + D*t^(m+1) + D*h, residue f fastest, summed per class.
     """
     opts = options or ScanOptions()
     delta = k - m - 1
@@ -317,26 +318,21 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     # one ring a modulus, for each D the scan reaches
     rings = q**delta if opts.max_cells is None else min(q**delta, opts.max_cells)
     if st.census_route(spec, k, products=rings * st.ring_products(q, delta, [lam])) == "ring":
-        def counter(d_poly):
-            classes = st.ResidueRing(d_poly).type_counts(k, [lam])[lam]
-            return lambda f_poly: classes[st.residue_code(f_poly)]
+        def class_counts(d_poly):
+            return st.ResidueRing(d_poly).type_counts(k, [lam])[lam]
     else:
         from ffstat import tables
 
         pt = tables.poly_tables(spec, k, opts.budget)
-        pid = pt.pid_of(lam)
-        types = pt.types[k]
+        is_lam = pt.types[k] == pt.pid_of(lam)
+        # one identity row per code digit of the residue f, so f varies fastest
+        f_rows = [[int(s == t) for t in range(k * spec.nu)] for s in range(delta * spec.nu)]
 
-        def counter(d_poly):
-            d_shifted = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
-            d_rows = tables.multiplier_rows(pt.field, d_poly.ci, m, k)  # h -> D*h, shared by every residue f
-
-            def count(f_poly):
-                # members f + D*g, g monic of degree m + 1, are (f + D*t^(m+1)) + D*h over deg h <= m
-                top = pr.poly_add(f_poly, d_shifted)
-                return int((types[tables.member_codes(pt.field, top.ci, d_rows)] == pid).sum())
-
-            return count
+        def class_counts(d_poly):
+            # from D*t^(m+1), f + D*(t^(m+1) + h) over f and deg h <= m lists every monic of degree k once
+            top = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
+            codes = tables.member_codes(pt.field, top.ci, f_rows + tables.multiplier_rows(pt.field, d_poly.ci, m, k))
+            return is_lam[codes].reshape(-1, q**delta).sum(axis=0).tolist()
 
     pi_lam = exact_type_count(q, k, lam)
     agg = _Aggregator()
@@ -345,7 +341,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     for dcode in range(q**delta):
         d_poly = pr.monic_from_code(spec, delta, dcode)
         phi = st.poly_totient(d_poly)
-        count_of = None  # built at the first cell of D, so a scan that stops at D builds nothing for it
+        classes = None  # counted at the first cell of D, so a scan that stops at D counts nothing for it
         for fcode in range(q**delta):
             f_poly = pr.poly_from_indices(spec, pr.code_to_coeffs(fcode, delta, q)[:-1])
             if pr.poly_gcd(f_poly, d_poly).degree != 0:
@@ -353,9 +349,9 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
             if opts.max_cells is not None and agg.cells >= opts.max_cells:
                 truncated = True
                 break
-            if count_of is None:
-                count_of = counter(d_poly)
-            count = count_of(f_poly)
+            if classes is None:
+                classes = class_counts(d_poly)
+            count = classes[fcode]
             status = _classify_progression(spec, m, d_poly, f_poly).status
             agg.add([count], pi_lam, phi, status)
             if rows is not None:

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from ffstat import statistics as st
+from ffstat import cli, statistics as st
 from ffstat.cli import CSV_HEADER, main, parse_partition, parse_poly
-from ffstat.combinatorics import exact_prime_count, partitions_of
+from ffstat.combinatorics import Partition, cycle_type_probability, exact_prime_count, frac_str, partitions_of
 from ffstat.gf import DEFAULT_BUDGET
 
 
@@ -89,6 +89,23 @@ def test_partition_prob_no_field(capsys):
     env = run_json(capsys, ["partition-prob", "--lambda", "2+2"])
     assert env["result"] == "1/8"
     assert env["field"] is None
+
+
+def test_exact_integers_of_any_length(capsys):
+    # each result runs past the interpreter's default limit of 4,300 digits for int <-> str
+    assert run_json(capsys, ["pi", "--p", "2", "--k", "20000"])["result"] == exact_prime_count(2, 20000)
+    env = run_json(capsys, ["pi-type", "--p", "2", "--k", "20000", "--lambda", "20000"])
+    assert env["result"] == exact_prime_count(2, 20000)
+    env = run_json(capsys, ["partition-prob", "--lambda", "+".join(["1"] * 2000)])
+    assert env["result"] == frac_str(cycle_type_probability(Partition((1,) * 2000)))
+
+
+def test_rendering_error_is_one_line(capsys, monkeypatch):
+    def fail(obj):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(cli, "canonical_json", fail)
+    assert run(capsys, ["pi", "--p", "2", "--k", "3"]) == (2, "", "ffstat: cannot render\n")
 
 
 def test_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -316,10 +317,11 @@ def test_scan_progressions_worker_determinism(F3):
     assert canonical_json(verify.report_to_dict(r1)) == canonical_json(verify.report_to_dict(r4))
 
 
-@pytest.mark.parametrize("q,k,m", [(3, 5, 2), (3, 7, 3), (5, 6, 3), (2, 8, 3)])
+@pytest.mark.parametrize("q,k,m", [(3, 5, 2), (3, 7, 3), (5, 6, 3), (2, 8, 3), (4, 5, 2), (2, 7, 2)])
 def test_scan_progressions_ring_matches_tables(q, k, m, monkeypatch):
-    # per-cell JSON and CSV, whole and truncated after 0, 7 and 40 cells, counted in the ring and from type tables
-    spec = gf.make_field(q, 1)
+    # per-cell JSON and CSV, whole and truncated after 0, 7 and 40 cells, counted in the ring and from type tables;
+    # q = 4 is an extension field, and at p = m = 2 each cell's coverage depends on (D, f)
+    spec = gf.make_field(*gf.prime_power(q))
     out = {}
     for ring in (True, False):
         monkeypatch.setattr(st, "census_route", lambda *args, ring=ring, **kwargs: "ring" if ring else "tables")
@@ -351,6 +353,42 @@ def test_scan_progressions_one_gcd_per_residue(F3, monkeypatch):
     report = verify.scan_progressions(F3, 5, 2, Partition((5,)))
     assert len(calls) == 3**2 * 3**2
     assert report.cells == 54
+
+
+def test_scan_progressions_one_listing_per_modulus(F3, monkeypatch):
+    # the table route lists each modulus' members once, at its first cell, never once per cell
+    monkeypatch.setattr(st, "census_route", lambda *args, **kwargs: "tables")
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    calls = []
+    listing = tables.member_codes
+    monkeypatch.setattr(tables, "member_codes", lambda *args: calls.append(args) or listing(*args))
+    lam = Partition((5,))
+    assert verify.scan_progressions(F3, 5, 2, lam).cells == 54
+    assert len(calls) == 3**2
+    calls.clear()
+    verify.scan_progressions(F3, 5, 2, lam, ScanOptions(max_cells=0))
+    assert calls == []
+    cut = verify.scan_progressions(F3, 5, 2, lam, ScanOptions(per_cell=True, max_cells=7))
+    reached = {rec.label.split(";")[0] for rec in cut.per_cell}
+    assert len(reached) == 2  # phi(t^2) = 6 cells, then one of the next modulus
+    assert len(calls) == len(reached)
+
+
+def test_scan_progressions_listing_memory(F2, monkeypatch):
+    # a table-route scan holds one modulus' listing of the q^k degree-k codes at a time;
+    # 300 cells reach the first three moduli, t^8, (t + 1)^8 and t^8 + t (phi = 128, 128, 49)
+    k, m = 14, 5
+    monkeypatch.setattr(st, "census_route", lambda *args, **kwargs: "tables")
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    tables.poly_tables(F2, k)
+    tracemalloc.start()
+    try:
+        report = verify.scan_progressions(F2, k, m, Partition((k,)), ScanOptions(per_cell=True, max_cells=300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len({rec.label.split(";")[0] for rec in report.per_cell}) == 3
+    assert peak <= 40 * 2**k, f"{peak / 2**k:.1f} B per degree-k code"
 
 
 # ---------------------------------------------------------------------------
