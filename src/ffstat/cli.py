@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Optional
 
 from ffstat import __version__, gf, polyring as pr
@@ -411,7 +410,9 @@ def cmd_hypotheses(args):
 
 
 def _counterexample_result(rep: verify.CounterexampleReport):
-    return asdict(rep), None, 1 if rep.agrees is False else 0
+    result = {"kind": rep.kind, "q": rep.q, "k": rep.k, "expected": rep.expected, "actual": rep.actual,
+              "agrees": rep.agrees}
+    return result, None, 1 if rep.agrees is False else 0
 
 
 def cmd_counterexample(args):
@@ -424,6 +425,7 @@ def cmd_counterexample(args):
         return spec, params, (1, spec.q), lambda: _counterexample_result(verify.counterexample_m0(spec, args.k))
     if args.p is None:
         raise ValueError("--p is required for counterexample m1")
+    _require(args.n >= 1, f"--n = {args.n} must be >= 1")
     spec = gf.make_field(args.p, 2 * args.n)
     params = {"variant": f"m1:{args.variant}", "p": args.p, "n": args.n}  # argparse allows p2 and p2+1 only
     return spec, params, (1, spec.q**2), lambda: _counterexample_result(

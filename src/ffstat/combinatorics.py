@@ -1,23 +1,86 @@
 """Partitions, the S_k cycle-type law, and exact counting oracles.
 
 All probabilities are exact `Fraction`s; counting formulas return Python
-integers and are valid without overflow at any size.
+integers and are valid without overflow at any size.  `Record` and
+`FrozenRecord` are the package's plain value classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 PARTITION_BOUND = 30
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """A mutable value record whose fields are its class's `__slots__`, in order, each also annotated.
+
+    Fields are given by position or by name, and one given neither way takes
+    its value in the class's `_defaults`.  `__post_init__` then checks them.
+    Two records are equal when they are of one class with equal fields, and a
+    record prints as `Name(field=value, ...)`.  No source is generated or
+    compiled per class: defining one builds only the getter behind `_values`.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:  # `_values`: every field in one C call, for equality and hashing
+            get = attrgetter(*cls.__slots__)
+            cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *values, **named):
+        cls = type(self)
+        names = cls.__slots__
+        if named or len(values) != len(names):
+            given = dict(cls._defaults, **dict(zip(names, values)), **named)
+            if len(values) > len(names) or sorted(given) != sorted(names):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+            values = [given[name] for name in names]
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other is self:  # the common case: every polynomial of a field holds one FieldSpec
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A `Record` that refuses assignment and hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(FrozenRecord):
     """Nonincreasing tuple of positive parts; text form "p1+p2+...+pr"."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
     def __post_init__(self):

@@ -26,9 +26,10 @@ same error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from ffstat.combinatorics import FrozenRecord
 
 DEFAULT_Q_LIMIT = 1 << 16
 DEFAULT_BUDGET = 1 << 26
@@ -39,10 +40,10 @@ class BudgetError(ValueError):
     """Projected enumeration size exceeds the configured budget."""
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenRecord):
     """The field F_{p^nu} with its canonical modulus (coefficients mod p, low-to-high)."""
 
+    __slots__ = ("p", "nu", "modulus", "q")
     p: int
     nu: int
     modulus: tuple[int, ...]

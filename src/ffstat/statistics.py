@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from ffstat import gf, polyring as pr
-from ffstat.combinatorics import Partition, divisors, partitions_of
+from ffstat.combinatorics import FrozenRecord, Partition, Record, divisors, partitions_of
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
 
@@ -48,10 +47,10 @@ def check_center(f: Poly) -> None:
         raise ValueError("interval center must have degree >= 1")
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(FrozenRecord):
     """The interval around a monic degree-k polynomial: all g with deg(f - g) <= m."""
 
+    __slots__ = ("f", "m")
     f: Poly
     m: int
 
@@ -87,10 +86,10 @@ class IntervalSpec:
             yield pr.monic_from_code(self.spec, self.k, code)
 
 
-@dataclass(frozen=True)
-class ProgressionSpec:
+class ProgressionSpec(FrozenRecord):
     """Monic degree-k members of the residue class f mod D."""
 
+    __slots__ = ("D", "f", "k")
     D: Poly
     f: Poly
     k: int
@@ -116,10 +115,10 @@ class ProgressionSpec:
         return self.spec.q ** (self.k - self.D.degree)
 
 
-@dataclass
-class TypeCensus:
+class TypeCensus(Record):
     """Counts per factorization type over an enumeration domain (zero counts omitted)."""
 
+    __slots__ = ("k", "counts")
     k: int
     counts: dict[Partition, int]
 
@@ -574,10 +573,10 @@ def radical_set(interval: IntervalSpec, d: int) -> list[Poly]:
     return out
 
 
-@dataclass(frozen=True)
-class NuDecomposition:
+class NuDecomposition(FrozenRecord):
     """nu(f; m) split into prime, proper prime-power and t^k contributions."""
 
+    __slots__ = ("k_pi", "proper_terms", "epsilon", "reconstructed")
     k_pi: int
     proper_terms: dict[int, int]
     epsilon: int

@@ -25,14 +25,13 @@ command line imports this module only for the subcommands that run it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from ffstat import gf, polyring as pr
 from ffstat import statistics as st
-from ffstat.combinatorics import Partition, cycle_type_probability, exact_type_count, frac_str
+from ffstat.combinatorics import FrozenRecord, Partition, Record, cycle_type_probability, exact_type_count, frac_str
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
 
@@ -45,8 +44,8 @@ class CoverageStatus(str, Enum):
     EXCLUDED_CHAR2_CONSTANT_DERIVATIVE = "ExcludedChar2ConstantRationalDerivative"
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(FrozenRecord):
+    __slots__ = ("status", "detail")
     status: CoverageStatus
     detail: str
 
@@ -109,16 +108,17 @@ def _classify_progression(spec: FieldSpec, m: int, d_poly: Poly, f: Poly) -> Cov
 # Deviation reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanOptions:
-    workers: int = 1  # accepted and ignored: scans run in one thread, in cell order
-    budget: int = DEFAULT_BUDGET
-    per_cell: bool = False
-    max_cells: Optional[int] = None
+class ScanOptions(Record):
+    __slots__ = ("workers", "budget", "per_cell", "max_cells")
+    workers: int  # accepted and ignored: scans run in one thread, in cell order
+    budget: int
+    per_cell: bool
+    max_cells: Optional[int]
+    _defaults = {"workers": 1, "budget": DEFAULT_BUDGET, "per_cell": False, "max_cells": None}
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(FrozenRecord):
+    __slots__ = ("cell_id", "label", "count", "expected", "abs_dev", "status")
     cell_id: int
     label: str
     count: int
@@ -127,8 +127,9 @@ class CellRecord:
     status: CoverageStatus
 
 
-@dataclass
-class DeviationReport:
+class DeviationReport(Record):
+    __slots__ = ("mode", "q", "k", "m", "lam", "cells", "covered_cells", "total_count", "expected", "max_abs_dev",
+                 "normalized_constant", "excluded", "truncated", "per_cell")
     mode: str
     q: int
     k: int
@@ -141,8 +142,9 @@ class DeviationReport:
     max_abs_dev: Optional[Fraction]
     normalized_constant: Optional[str]
     excluded: dict[str, dict]
-    truncated: bool = False
-    per_cell: Optional[tuple[CellRecord, ...]] = None
+    truncated: bool
+    per_cell: Optional[tuple[CellRecord, ...]]
+    _defaults = {"truncated": False, "per_cell": None}
 
 
 def normalized_deviation(dev: Fraction, q: int, m: int) -> str:
@@ -367,8 +369,8 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
 # Counterexamples and the variance trend
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(FrozenRecord):
+    __slots__ = ("kind", "q", "k", "expected", "actual", "agrees")
     kind: str
     q: int
     k: int
@@ -425,8 +427,8 @@ def counterexample_m1(p: int, n: int, variant: str = "p2", budget: int = DEFAULT
     return CounterexampleReport("m1", q, k, expected, actual, agrees)
 
 
-@dataclass(frozen=True)
-class VarianceTrendReport:
+class VarianceTrendReport(FrozenRecord):
+    __slots__ = ("k", "m", "per_q", "limit")
     k: int
     m: int
     per_q: tuple[tuple[int, Fraction], ...]

@@ -85,6 +85,13 @@ def test_counterexample_m0_command(capsys):
     assert env["command"] == "counterexample m0"
 
 
+def test_counterexample_result_keys(capsys):
+    m0 = run_json(capsys, ["counterexample", "m0", "--p", "7", "--k", "3"])["result"]
+    assert m0 == {"kind": "m0", "q": 7, "k": 3, "expected": 4, "actual": 4, "agrees": True}
+    m1 = run_json(capsys, ["counterexample", "m1", "--p", "2", "--n", "1", "--variant", "p2+1"])["result"]
+    assert m1 == {"kind": "m1", "q": 4, "k": 5, "expected": None, "actual": 6, "agrees": None}
+
+
 def test_partition_prob_no_field(capsys):
     env = run_json(capsys, ["partition-prob", "--lambda", "2+2"])
     assert env["result"] == "1/8"
@@ -299,6 +306,13 @@ def test_contract_holes_exit_2(capsys):
         cases += [line.split(), line.split() + ["--dry-run"]]
     for argv in cases:
         _assert_usage_error(run(capsys, argv))
+    # --n is named before the field F_{p^{2n}} is built
+    for n in ("0", "-1"):
+        argv = ["counterexample", "m1", "--p", "2", "--n", n]
+        for case in (argv, argv + ["--dry-run"]):
+            result = run(capsys, case)
+            _assert_usage_error(result)
+            assert f"--n = {n}" in result[2], result[2]
     # a center that is not monic of degree >= 1 is named before the m range or --k is checked
     for center in ("0", "1"):
         nu = ["nu", "--p", "2", "--f", center, "--m", "1"]

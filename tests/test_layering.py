@@ -1,6 +1,7 @@
 """The module graph runs one way, numpy loads only where type tables are built or read,
-the command line loads `statistics` and `verify` only for the subcommands that run them,
-and the names the bench tracer and the route calibration reach by name exist."""
+no command loads `dataclasses` or `inspect`, the command line loads `statistics` and `verify`
+only for the subcommands that run them, and the names the bench tracer and the route
+calibration reach by name exist."""
 
 import ast
 import importlib
@@ -59,6 +60,15 @@ def test_module_level_imports_follow_the_layer_order():
                     assert dep not in DEFERRED.get(name, ()), f"{name} imports {dep} at module level"
 
 
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each decorator execs generated code;
+    # the package's records are plain slotted classes (combinatorics.Record)
+    for path in sorted((SRC / "ffstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "dataclasses" not in _imported_modules(node), f"{path.stem} imports dataclasses"
+
+
 PROBE = """
 import contextlib, io, json, sys
 from ffstat import cli
@@ -66,7 +76,8 @@ out = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    out.append([argv[0], code, "numpy" in sys.modules, "ffstat.tables" in sys.modules])
+    out.append([argv[0], code, "numpy" in sys.modules, "ffstat.tables" in sys.modules,
+                "dataclasses" in sys.modules, "inspect" in sys.modules])
 print(json.dumps(out))
 """
 
@@ -103,9 +114,9 @@ def test_light_commands_do_not_load_numpy():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
     )
     rows = json.loads(proc.stdout)
-    assert [code for _, code, _, _ in rows] == [0] * len(argvs)
-    assert [row[2:] for row in rows[:-1]] == [[False, False]] * len(light), rows
-    assert rows[-1][2:] == [True, True]
+    assert [row[1] for row in rows] == [0] * len(argvs)
+    assert [row[2:] for row in rows[:-1]] == [[False] * 4] * len(light), rows
+    assert rows[-1][2:4] == [True, True]  # numpy itself imports inspect
 
 
 LOADED = """
