@@ -156,24 +156,17 @@ def _census_result(census: st.TypeCensus, lam: Optional[Partition]) -> dict:
 def _csv_text(report: verify.DeviationReport) -> str:
     from ffstat import verify
 
+    head = f"{report.q},{report.k},{report.m},{report.lam},"
+    tails: dict[tuple[int, int, int, bool], str] = {}  # the columns after cell_id, per distinct (count, expected, covered)
     lines = [CSV_HEADER]
     for rec in report.per_cell or ():
-        lines.append(
-            ",".join(
-                [
-                    str(report.q),
-                    str(report.k),
-                    str(report.m),
-                    str(report.lam),
-                    str(rec.cell_id),
-                    str(rec.count),
-                    str(rec.expected.numerator),
-                    str(rec.expected.denominator),
-                    frac_str(rec.abs_dev),
-                    "1" if rec.status is verify.CoverageStatus.COVERED else "0",
-                ]
-            )
-        )
+        num, den = rec.expected.numerator, rec.expected.denominator
+        covered = rec.status is verify.CoverageStatus.COVERED
+        key = (rec.count, num, den, covered)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = f"{rec.count},{num},{den},{frac_str(rec.abs_dev)},{int(covered)}"
+        lines.append(f"{head}{rec.cell_id},{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -313,6 +306,7 @@ def cmd_mean_variance(args):
 
     spec = _field_from_args(args)
     params = {"k": args.k, "m": args.m}
+    _require(args.k >= 2, f"--k {args.k} must be >= 2")
     _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
 
     def run():
@@ -327,6 +321,7 @@ def cmd_variance_trend(args):
 
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
     params = {"k": args.k, "m": args.m, "q_list": q_list}
+    _require(args.k >= 5, f"--k {args.k} must be >= 5")
     _require(bool(q_list), f"--q-list {args.q_list!r} names no prime power")
     _require(1 <= args.m < args.k - 3, f"m = {args.m} outside the valid range 1 <= m < k - 3 = {args.k - 3}")
     for q in q_list:
@@ -358,6 +353,7 @@ def cmd_scan_intervals(args):
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
     params = {"k": args.k, "m": args.m, "lambda": str(lam)}
+    _require(args.k >= 2, f"--k {args.k} must be >= 2")
     _require(1 <= args.m < args.k, f"m = {args.m} out of range 1..{args.k - 1}")
     _require(lam.k == args.k, f"{lam} is not a partition of {args.k}")
     opts = verify.ScanOptions(

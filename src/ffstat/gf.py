@@ -141,11 +141,13 @@ def _fp_irreducible(mod: list[int], p: int) -> bool:
 # Field construction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def make_field(p: int, nu: int) -> FieldSpec:
     """Build F_{p^nu} with the canonical (lexicographically least) modulus.
 
     For nu = 1 the modulus is the degenerate placeholder x; elements are
-    residues mod p.
+    residues mod p.  A field is built once and kept, so repeated calls
+    return the same spec; bad p or nu raise on every call.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")

@@ -18,18 +18,22 @@ from `polyring` and is independent of its division-based factorization;
 the test suite cross-checks the two.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
-type (int16, kept in `types[d]`) and, below the top degree, the rank of
-the largest irreducible factor.  Once degree d is finished its codes are
-sorted by that rank, once, and the order and the sorted ranks (int32
-each, dropped after the build) replace it.  For each factor degree e < d
-the pairs are the irreducibles P of degree e with the codes g of degree
-d - e whose largest factor ranks at most rank(P): a prefix of that order.
-All pairs of one e are multiplied at once, through the field's add/mul
-index tables, or at q = 2, where a code is the bit vector of the
-coefficients below the leading 1, as a carry-less multiply with no table
-lookups.  At q = 2 the build peaks at about 12 B per sieved code at
-k = 16 and 10 B at k = 18 (tracemalloc, over the 2 + 4 + ... + 2^k codes
-of degrees 1..k), and the tables it keeps take about 3-5 B per code.
+type (int16, kept in `types[d]`) and, below the top degree, the codes in
+nondecreasing rank of their largest irreducible factor beside those ranks
+(int32 each, dropped after the build).  That order needs no sort: the
+pairs of one factor degree e come out in nondecreasing rank of P, the
+factor degrees ascend, and the irreducibles of degree d rank last, so the
+products of each e are written in turn and the irreducibles after them.
+For each factor degree e < d the pairs are the irreducibles P of degree e
+with the codes g of degree d - e whose largest factor ranks at most
+rank(P): a prefix of that order.  All pairs of one e are multiplied at
+once, through the field's add/mul index tables on int32 digits, or at
+q = 2, where a code is the bit vector of the coefficients below the
+leading 1, as a carry-less multiply with no table lookups.  The build
+peaks (tracemalloc, over the q + q^2 + ... + q^k codes of degrees 1..k)
+at about 12 B per sieved code at q = 2, k = 16 and 10 B at k = 18, and
+at about 22 B at q = 9, k = 6 and 26 B at q = 13, k = 5; the tables it
+keeps take about 3-5 B per code.
 """
 
 from __future__ import annotations
@@ -48,23 +52,33 @@ from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec, FieldTable
 def _product_codes(add: np.ndarray, mul: np.ndarray, q: int, a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
     """Codes of the products a[i] * b[i] of monic codes of degrees da and db.
 
-    `add` and `mul` are the flat field tables as index arrays.  The product's
-    coefficients are convolved one at a time over all pairs, and its code is
-    built by Horner from the top coefficient down.
+    `add` and `mul` are the flat field tables as int32 index arrays.  The
+    product's coefficients are convolved one at a time over all pairs, on
+    int32 digits (every table index is below q^2 <= 2^22) read through
+    `take`, which numpy runs faster than indexing by an int32 array, and
+    its code is built in int64 by Horner from the top coefficient down.
     """
-    a_digits = [a // q**i % q for i in range(da)]
-    b_digits = [b // q**j % q for j in range(db)]
-    a_rows = [x * q for x in a_digits]
+    a_digits, b_digits = _digits(a, da, q), _digits(b, db, q)
     code = np.zeros(len(a), dtype=np.int64)
     for k in reversed(range(da + db)):
         coeff = None
         for i in range(max(0, k - db), min(da, k) + 1):
             j = k - i  # the leading coefficients a_da = b_db = 1 need no lookup
-            term = b_digits[j] if i == da else a_digits[i] if j == db else mul[a_rows[i] + b_digits[j]]
-            coeff = term if coeff is None else add[coeff * q + term]
+            term = b_digits[j] if i == da else a_digits[i] if j == db else mul.take(a_digits[i] * q + b_digits[j])
+            coeff = term if coeff is None else add.take(coeff * q + term)
         code *= q
         code += coeff
     return code
+
+
+def _digits(codes: np.ndarray, n: int, q: int) -> list[np.ndarray]:
+    """The n base-q digits of the codes, least significant first, as int32 arrays."""
+    rest = codes.astype(np.int32)
+    digits = []
+    for _ in range(n):
+        digits.append(rest % q)
+        rest //= q
+    return digits
 
 
 def _clmul_codes(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
@@ -164,9 +178,9 @@ class PolyTables:
         self._pid: dict[int, dict[tuple[int, ...], int]] = {}
         self._lambda: dict[int, np.ndarray] = {}
         q = spec.q
-        add = np.array(self.field.add, dtype=np.intp)
-        mul = np.array(self.field.mul, dtype=np.intp)
-        # per degree d < kmax: the codes sorted by the rank of their largest irreducible factor, and those ranks
+        add = np.array(self.field.add, dtype=np.int32)
+        mul = np.array(self.field.mul, dtype=np.int32)
+        # per degree d < kmax: the codes in nondecreasing rank of their largest irreducible factor, and those ranks
         ranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         first_rank: dict[int, int] = {}  # rank of the smallest irreducible code of each degree
         next_rank = 0
@@ -176,31 +190,37 @@ class PolyTables:
             self.partitions[d] = parts_list
             self._pid[d] = pid
             types = np.full(q**d, -1, dtype=np.int16)
-            rank = np.empty(q**d, dtype=np.int32) if d < kmax else None
+            if d < kmax:
+                order = np.empty(q**d, dtype=np.int32)
+                sorted_ranks = np.empty(q**d, dtype=np.int32)
+            done = 0  # codes produced so far, which fill order and sorted_ranks from the front
             for e in range(1, d):
                 # pairs (g, P): P irreducible of degree e, g of degree d - e whose factors all rank <= rank(P)
-                order, sorted_ranks = ranks[d - e]
+                g_order, g_ranks = ranks[d - e]
                 p_ranks = first_rank[e] + np.arange(len(self.irr_codes[e]), dtype=np.int32)
-                counts = np.searchsorted(sorted_ranks, p_ranks, side="right")
+                counts = np.searchsorted(g_ranks, p_ranks, side="right")
                 p_idx = np.repeat(np.arange(len(counts)), counts)
-                g = order[np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)]
+                g = g_order[np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)]
                 p_codes = self.irr_codes[e][p_idx]
                 prod = _clmul_codes(g, d - e, p_codes, e) if q == 2 else _product_codes(add, mul, q, g, d - e, p_codes, e)
                 join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
                 types[prod] = join[self.types[d - e][g]]
-                if rank is not None:
-                    rank[prod] = p_ranks[p_idx]
-            # codes never produced as products are the irreducibles of degree d
+                if d < kmax:
+                    # P's rank is nondecreasing along the pairs and rises with e, so the products come in rank order
+                    order[done:done + len(prod)] = prod
+                    sorted_ranks[done:done + len(prod)] = p_ranks[p_idx]
+                done += len(prod)
+            # codes never produced as products are the irreducibles of degree d, and they rank last
             irr = np.flatnonzero(types < 0)
             types[irr] = pid[(d,)]
             self.types[d] = types
             self.irr_codes[d] = irr.astype(np.int64, copy=False)
             first_rank[d] = next_rank
             next_rank += len(irr)
-            if rank is not None:
-                rank[irr] = first_rank[d] + np.arange(len(irr), dtype=np.int32)
-                order = np.argsort(rank, kind="stable").astype(np.int32)
-                ranks[d] = order, rank[order]
+            if d < kmax:
+                order[done:] = irr
+                sorted_ranks[done:] = first_rank[d] + np.arange(len(irr), dtype=np.int32)
+                ranks[d] = order, sorted_ranks
 
     # -- lookups ------------------------------------------------------------
 

@@ -274,15 +274,34 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
         agg.add(counts, num, den, fixed)
         if rows is None:
             return agg.report("interval", q, k, m, lam, expected, rows)
+    labels = _interval_labels(spec, k, m) if rows is not None else None
+    devs: dict[int, Fraction] = {}  # |count - expected| per distinct count
     for base, count in enumerate(counts):
-        rep = pr.monic_from_code(spec, k, base * block)
         status = fixed
         if per_rep:
-            status = check_hypotheses_interval(spec, k, m, rep).status
+            status = check_hypotheses_interval(spec, k, m, pr.monic_from_code(spec, k, base * block)).status
             agg.add([count], num, den, status)
         if rows is not None:
-            rows.append(CellRecord(base, pr.poly_text(rep), count, expected, abs(count - expected), status))
+            dev = devs.get(count)
+            if dev is None:
+                dev = devs[count] = abs(count - expected)
+            rows.append(CellRecord(base, labels[base], count, expected, dev, status))
     return agg.report("interval", q, k, m, lam, expected, rows)
+
+
+def _interval_labels(spec: FieldSpec, k: int, m: int) -> list[str]:
+    """`poly_text` of every interval cell's representative, in base-code order, without building it.
+
+    Cell base's representative is t^(m+1) times the monic of degree
+    k - m - 1 with code base: m + 1 zero coefficients, base's base-q
+    digits least significant first, then the leading 1.
+    """
+    texts = gf.element_texts(spec)
+    tails = [texts[1]]
+    for _ in range(k - m - 1):  # prepend one digit a pass, from the top down, so the lowest varies fastest
+        tails = [text + "," + tail for tail in tails for text in texts]
+    zeros = (texts[0] + ",") * (m + 1)
+    return [zeros + tail for tail in tails]
 
 
 def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: Optional[ScanOptions] = None) -> DeviationReport:

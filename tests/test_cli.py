@@ -306,6 +306,15 @@ def test_contract_holes_exit_2(capsys):
         cases += [line.split(), line.split() + ["--dry-run"]]
     for argv in cases:
         _assert_usage_error(run(capsys, argv))
+    # a bad --k is named before the range of m that it bounds
+    for line in ("mean-variance --p 2 --k -3 --m -5", "mean-variance --p 2 --k 0 --m 1",
+                 "scan-intervals --p 2 --k -3 --m -5 --lambda 1", "scan-intervals --p 3 --k 0 --m 1 --lambda 1",
+                 "variance-trend --k -3 --m -5 --q-list 2,3", "variance-trend --k 4 --m 1 --q-list 2,3"):
+        argv = line.split()
+        for case in (argv, argv + ["--dry-run"]):
+            result = run(capsys, case)
+            _assert_usage_error(result)
+            assert result[2].startswith(f"ffstat: --k {argv[argv.index('--k') + 1]} must be >= "), result[2]
     # --n is named before the field F_{p^{2n}} is built
     for n in ("0", "-1"):
         argv = ["counterexample", "m1", "--p", "2", "--n", n]

@@ -23,17 +23,19 @@ def test_make_field_examples():
 
 
 def test_make_field_deterministic():
+    # each field is built once and kept: equal calls return the same spec
     for p, nu in SMALL_FIELDS:
-        assert gf.make_field(p, nu) == gf.make_field(p, nu)
+        assert gf.make_field(p, nu) is gf.make_field(p, nu)
 
 
 def test_make_field_errors():
-    with pytest.raises(ValueError):
-        gf.make_field(4, 1)
-    with pytest.raises(ValueError):
-        gf.make_field(2, 0)
-    with pytest.raises(ValueError):
-        gf.make_field(2, 17)
+    for _ in range(2):  # a bad p or nu is rejected on every call, not only the first
+        with pytest.raises(ValueError):
+            gf.make_field(4, 1)
+        with pytest.raises(ValueError):
+            gf.make_field(2, 0)
+        with pytest.raises(ValueError):
+            gf.make_field(2, 17)
 
 
 def test_modulus_is_irreducible_by_trial():

@@ -144,6 +144,38 @@ def test_scan_intervals_status_matches_representative():
                     assert rec.status is verify.check_hypotheses_interval(spec, k, m, rep).status, (q, k, m, rec)
 
 
+def _csv_reference(report):
+    """The CSV of a scan report, one join of every column per row: the reference for `cli._csv_text`."""
+    lines = [cli.CSV_HEADER]
+    for rec in report.per_cell:
+        covered = "1" if rec.status is CoverageStatus.COVERED else "0"
+        fields = [report.q, report.k, report.m, report.lam, rec.cell_id, rec.count, rec.expected.numerator,
+                  rec.expected.denominator, verify.frac_str(rec.abs_dev), covered]
+        lines.append(",".join(map(str, fields)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p,nu,k", [(2, 1, 6), (3, 1, 4), (2, 2, 4), (3, 2, 3)])
+def test_scan_rows_match_representatives(p, nu, k):
+    # interval rows take their labels from code digits and one deviation per distinct count, and the
+    # CSV renders each row from a cached tail; each must equal what the cell's representative gives.
+    # Progression rows, whose expected value moves with the modulus, check the CSV too.
+    spec = gf.make_field(p, nu)
+    q = spec.q
+    for m in sorted({1, 2, k - 1}):
+        for lam in (Partition((k,)), Partition((k - 1, 1)), Partition((1,) * k)):
+            report = verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))
+            assert len(report.per_cell) == q ** (k - m - 1)
+            for rec in report.per_cell:
+                rep = pr.monic_from_code(spec, k, rec.cell_id * q ** (m + 1))
+                assert rec.label == pr.poly_text(rep), (q, k, m, rec)
+                assert rec.abs_dev == abs(rec.count - rec.expected), (q, k, m, rec)
+            assert cli._csv_text(report) == _csv_reference(report), (q, k, m, lam)
+            if m < k - 1:
+                report = verify.scan_progressions(spec, k, m, lam, ScanOptions(per_cell=True))
+                assert cli._csv_text(report) == _csv_reference(report), (q, k, m, lam)
+
+
 def _summary_from_rows(report):
     """The aggregate fields of a scan report, recomputed from its per-cell rows."""
     groups = {}
