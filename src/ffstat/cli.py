@@ -264,6 +264,7 @@ def cmd_nu(args):
     params = {"f": pr.poly_text(f), "m": args.m, "decompose": bool(args.decompose)}
     st.check_center(f)
     k = f.degree
+    _require(k >= 2, f"--f {params['f']} has degree {k}, which must be >= 2")
     _require(1 <= args.m < k, f"m = {args.m} out of range 1..{k - 1}")
     enumeration = spec.q ** (args.m + 1)
     if args.decompose:

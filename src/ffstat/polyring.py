@@ -18,7 +18,10 @@ factors, which is all that factorization types, the totient and the von
 Mangoldt function read: squarefree decomposition (with p-th root
 extraction when the derivative vanishes, valid since F_q is perfect),
 then distinct-degree splitting via gcd(f, t^{q^d} - t).
-`is_irreducible` is Rabin's test, independent of both.
+`is_irreducible` is Rabin's test, independent of both.  It serves
+`statistics.radical_set` and the members of an interval that
+`statistics.interval_prime_count` leaves unstruck by its small factors,
+and it is the tests' independent oracle for both.
 """
 
 from __future__ import annotations

@@ -13,6 +13,12 @@ every class mod D at once in the monoid ring Z[F_q[t]/D], from the zeta
 function of F_q[t], at a cost set by deg D rather than by the
 q^(k - deg D) members.
 
+Prime counts of an interval alone, for the nu decomposition and the
+counterexamples of `verify`, take no route: `interval_prime_count`
+strikes out every member with a monic factor of degree <= m + 1, for all
+such factors at once over lists of digits, and tests what is left with
+Rabin's test only when k // 2 > m + 1.
+
 One rule, `census_route`, picks the route of every census from costs
 estimated in microseconds: the ring when it is priced no dearer than the
 other two, whatever tables are built; else tables already built; else
@@ -79,11 +85,6 @@ class IntervalSpec(FrozenRecord):
         """The q^{m+1} member codes, in order."""
         lo = self.base_code() * self.size
         return range(lo, lo + self.size)
-
-    def members(self):
-        """All q^{m+1} members in code order."""
-        for code in self.codes():
-            yield pr.monic_from_code(self.spec, self.k, code)
 
 
 class ProgressionSpec(FrozenRecord):
@@ -477,6 +478,53 @@ def interval_counts(interval: IntervalSpec) -> TypeCensus:
     return specialization_counts(interval.f, pr.one_poly(interval.spec), interval.m)
 
 
+def interval_prime_count(interval: IntervalSpec) -> int:
+    """The primes of I(f; m), counted by striking out the members with a small factor.
+
+    A member is g = top + h, with top the center f with its m + 1 low
+    coefficients zeroed and deg h <= m; it is reducible exactly when a
+    monic A of degree 1 <= d <= k // 2 divides it.  For d <= m + 1 the A
+    of degree d divide exactly the members h = -(top mod A) + A*u,
+    deg u <= m - d.  Those are listed for every A at once, in lockstep
+    over digit lists, as `_ring_rows` lists its products: top mod A by
+    long division, then q times as many entries for each coefficient of
+    u, and each h's code built a digit at a time, low digits first, as
+    they become final.  When k // 2 <= m + 1 every reducible member is
+    struck; otherwise Rabin's test runs on the members left.
+    """
+    spec, k, m, size = interval.spec, interval.k, interval.m, interval.size
+    ft = gf.field_table(spec)
+    q, add, mul, neg = ft.q, ft.add, ft.mul, ft.neg
+    struck = bytearray(size)  # indexed by the code of h
+    for d in range(1, min(m + 1, k // 2) + 1):
+        n = q**d
+        # a[i]: coefficient i of every monic A of degree d, in code order
+        a = [[x for x in range(q) for _ in range(q**i)] * q ** (d - 1 - i) for i in range(d)] + [[1] * n]
+        rem = [[0] * n] * (m + 1) + [[c] * n for c in interval.f.ci[m + 1 :]]  # top, one entry per A
+        for s in range(k, d - 1, -1):  # subtract rem_s t^(s-d) A
+            lead = [neg[x] for x in rem[s]]
+            for i in range(d):
+                rem[s - d + i] = [add[x * q + mul[y * q + z]] for x, y, z in zip(rem[s - d + i], lead, a[i])]
+        h = [[neg[x] for x in rem[i]] for i in range(d)] + [[0] * n for _ in range(d, m + 1)]
+        codes = [0] * n
+        for j in range(m + 1):
+            if j <= m - d:  # add u_j t^j A, u_j varying slowest so far
+                codes *= q
+                for i in range(j, j + d + 1):
+                    aq = a[i - j] * q**j
+                    h[i] = [add[x * q + mul[y * q + z]] for y in range(q) for x, z in zip(h[i], aq)]
+                for i in range(j + d + 1, m + 1):
+                    h[i] *= q
+            w = q**j  # digit j of h is final
+            codes = [c + x * w for c, x in zip(codes, h[j])]
+            h[j] = None
+        for c in codes:
+            struck[c] = 1
+    if k // 2 <= m + 1:
+        return size - struck.count(1)
+    return sum(pr.is_irreducible(pr.monic_from_code(spec, k, code)) for code, hit in zip(interval.codes(), struck) if not hit)
+
+
 def progression_counts(prog: ProgressionSpec) -> TypeCensus:
     """Census over the monic degree-k members of a residue class.
 
@@ -598,7 +646,7 @@ def nu_decomposition(f: Poly, m: int) -> NuDecomposition:
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     interval = IntervalSpec(f, m)
-    k_pi = k * sum(1 for g in interval.members() if pr.is_irreducible(g))
+    k_pi = k * interval_prime_count(interval)
     proper: dict[int, int] = {}
     for d in divisors(k):
         if d == 1:

@@ -33,10 +33,16 @@ def brute_cycle_type_counts(k):
     return counts
 
 
+def interval_members(interval):
+    """All q^{m+1} members of an interval, in code order."""
+    for code in interval.codes():
+        yield pr.monic_from_code(interval.spec, interval.k, code)
+
+
 def direct_interval_census(interval):
     """Type census by factoring every member, no table shortcuts."""
     counts = {}
-    for g in interval.members():
+    for g in interval_members(interval):
         lam = pr.factorization_type(g)
         counts[lam] = counts.get(lam, 0) + 1
     return counts
@@ -64,7 +70,7 @@ def direct_specialization_census(f, g, m):
 def direct_nu(f, m):
     """Filtered von Mangoldt sum by factoring every member."""
     total = 0
-    for g in st.IntervalSpec(f, m).members():
+    for g in interval_members(st.IntervalSpec(f, m)):
         if g.ci[0] != 0:  # members are monic, so ci is never empty
             total += st.von_mangoldt(g)
     return total

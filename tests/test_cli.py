@@ -315,6 +315,14 @@ def test_contract_holes_exit_2(capsys):
             result = run(capsys, case)
             _assert_usage_error(result)
             assert result[2].startswith(f"ffstat: --k {argv[argv.index('--k') + 1]} must be >= "), result[2]
+    # a center of degree 1 is named before the empty range of m that it gives
+    for line in ("nu --p 2 --f 1,1 --m 1", "nu --p 2 --f 1,1 --m 1 --decompose", "nu --p 3 --f 2,1 --m 2"):
+        argv = line.split()
+        for case in (argv, argv + ["--dry-run"]):
+            result = run(capsys, case)
+            _assert_usage_error(result)
+            assert result[2].startswith(f"ffstat: --f {argv[argv.index('--f') + 1]} has degree 1"), result[2]
+            assert "must be >= 2" in result[2], result[2]
     # --n is named before the field F_{p^{2n}} is built
     for n in ("0", "-1"):
         argv = ["counterexample", "m1", "--p", "2", "--n", n]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     direct_nu,
     direct_progression_census,
     direct_specialization_census,
+    interval_members,
     irreducibles,
 )
 
@@ -27,7 +29,7 @@ def P(spec, *indices):
 
 def test_interval_membership(F2, F3):
     interval = st.IntervalSpec(pr.monomial(F3, 3), 1)
-    members = list(interval.members())
+    members = list(interval_members(interval))
     assert len(members) == 9 == interval.size
     assert all(g.is_monic and g.degree == 3 for g in members)
     assert pr.monic_code(P(F3, 2, 2, 0, 1)) in interval.codes()
@@ -39,7 +41,7 @@ def test_interval_canonicalization(F3):
     interval = st.IntervalSpec(P(F3, 2, 1, 2, 1), 1)
     canon = st.IntervalSpec(P(F3, 0, 0, 2, 1), 1)
     assert interval.base_code() == canon.base_code()
-    assert set(interval.members()) == set(canon.members())
+    assert set(interval_members(interval)) == set(interval_members(canon))
     assert st.interval_counts(interval).counts == st.interval_counts(canon).counts
 
 
@@ -159,6 +161,30 @@ def test_interval_census_vs_direct(p, nu, kmax):
                 census = st.interval_counts(interval)
                 assert census.counts == direct_interval_census(interval)
                 assert census.total == interval.size
+
+
+@pytest.mark.parametrize("p,nu", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_interval_prime_count_matches_rabin(p, nu):
+    # every interval of q^(m+1) <= 3000 members, k <= 7, around t^k and a seeded random center
+    spec = gf.make_field(p, nu)
+    q = spec.q
+    rng = random.Random(q)
+    branches = set()
+    for k in range(1, 8):
+        centers = [pr.monomial(spec, k), pr.monic_from_code(spec, k, rng.randrange(q**k))]
+        rabin = {}  # Rabin's verdict by member code; a center's intervals nest as m grows
+        for m in range(k):
+            if q ** (m + 1) > 3000:
+                break
+            branches.add(k // 2 > m + 1)  # whether Rabin's test runs on the members left unstruck
+            for f in centers:
+                interval = st.IntervalSpec(f, m)
+                for code, g in zip(interval.codes(), interval_members(interval)):
+                    if code not in rabin:
+                        rabin[code] = pr.is_irreducible(g)
+                        assert rabin[code] == (pr.factorization_type(g).parts == (k,))
+                assert st.interval_prime_count(interval) == sum(rabin[code] for code in interval.codes()), (k, m, f)
+    assert branches == {False, True}
 
 
 def test_full_degree_interval_is_global_census(F2, F3):

@@ -463,6 +463,19 @@ def test_counterexample_m1_variants():
         verify.counterexample_m1(2, 1, "p3")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_counterexample_m1_strikes_every_reducible_member(n, monkeypatch):
+    # at p = 2 the degree k = 4 or 5 and every reducible member has a factor of degree <= 2 = m + 1,
+    # so the sieve strikes all of them and runs no Rabin test
+    calls = []
+    rabin = pr.is_irreducible
+    monkeypatch.setattr(pr, "is_irreducible", lambda f: calls.append(f) or rabin(f))
+    assert verify.counterexample_m1(2, n).actual == 0
+    assert verify.counterexample_m1(2, n, "p2+1").actual == (6, 102, 1638)[n - 1]  # as Rabin's test on every member counts
+    assert verify.counterexample_m0(gf.make_field(2, 2 * n), 3).agrees  # m = 0, k <= 3: struck by degree 1 alone
+    assert calls == []
+
+
 def test_counterexample_m1_nonics_by_full_factoring():
     # the (3,1) case re-verified by factoring all 81 degree-9 members outright
     spec = gf.make_field(3, 2)
