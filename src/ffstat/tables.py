@@ -26,14 +26,22 @@ factor degrees ascend, and the irreducibles of degree d rank last, so the
 products of each e are written in turn and the irreducibles after them.
 For each factor degree e < d the pairs are the irreducibles P of degree e
 with the codes g of degree d - e whose largest factor ranks at most
-rank(P): a prefix of that order.  All pairs of one e are multiplied at
-once, through the field's add/mul index tables on int32 digits, or at
-q = 2, where a code is the bit vector of the coefficients below the
-leading 1, as a carry-less multiply with no table lookups.  The build
-peaks (tracemalloc, over the q + q^2 + ... + q^k codes of degrees 1..k)
-at about 12 B per sieved code at q = 2, k = 16 and 10 B at k = 18, and
-at about 22 B at q = 9, k = 6 and 26 B at q = 13, k = 5; the tables it
-keeps take about 3-5 B per code.
+rank(P): a prefix of that order.  The pairs of one e are multiplied in
+chunks, as a segmented sieve of Eratosthenes works in blocks (Bays and
+Hudson, BIT 17, 1977): a chunk is a run of whole P with at most
+`SIEVE_CHUNK_PAIRS` pairs, or one P with more, and its products are
+written to the types and the rank order before the next chunk is built,
+so the order is the one an unchunked build writes.  The products go
+through the field's add/mul index tables on int32 digits, or at q = 2,
+where a code is the bit vector of the coefficients below the leading 1,
+as a carry-less multiply with no table lookups.  So the transient is
+capped at one chunk's arrays, and the build peaks (tracemalloc, over the
+q + q^2 + ... + q^k codes of degrees 1..k) at about 12 B per sieved code
+at q = 2, k = 16 and 10 B at k = 18, 8 B at q = 9, k = 6, 9 B at q = 13,
+k = 5 and 16 B at q = 3, k = 11 (unchunked: 22 B at q = 9, k = 6 and
+26 B at q = 13, k = 5).  The rest is what the build holds across
+degrees: the kept types, about 3-5 B per code, and below the top degree
+the int32 rank order and ranks, 8 B per code.
 """
 
 from __future__ import annotations
@@ -153,6 +161,13 @@ def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
 # Tables of factorization types
 # ---------------------------------------------------------------------------
 
+# (g, P) pairs multiplied at once: whole P, at most this many pairs unless one P has more.  In-process builds
+# (2 cores, Python 3.11.7, numpy 2.4.6; medians of 3-7 interleaved rounds, tracemalloc peak), 2^14 / 2^15 /
+# 2^16 / unchunked: (q, k) = (9, 6) 38 / 41 / 50 / 54 ms, 3.4 / 4.5 / 7.0 / 12.8 MiB; (3, 13) 647 / 640 /
+# 677 / 707 ms, 14.6 / 15.4 / 18.8 / 35.3 MiB; (2, 21) 193 / 216 / 225 / 280 ms, 29.7 / 29.1 / 30.0 / 36.0 MiB.
+SIEVE_CHUNK_PAIRS = 1 << 15
+
+
 class PolyTables:
     """Per-field tables of factorization types for every degree up to kmax.
 
@@ -199,17 +214,24 @@ class PolyTables:
                 g_order, g_ranks = ranks[d - e]
                 p_ranks = first_rank[e] + np.arange(len(self.irr_codes[e]), dtype=np.int32)
                 counts = np.searchsorted(g_ranks, p_ranks, side="right")
-                p_idx = np.repeat(np.arange(len(counts)), counts)
-                g = g_order[np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)]
-                p_codes = self.irr_codes[e][p_idx]
-                prod = _clmul_codes(g, d - e, p_codes, e) if q == 2 else _product_codes(add, mul, q, g, d - e, p_codes, e)
+                ends = np.cumsum(counts)
                 join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
-                types[prod] = join[self.types[d - e][g]]
-                if d < kmax:
-                    # P's rank is nondecreasing along the pairs and rises with e, so the products come in rank order
-                    order[done:done + len(prod)] = prod
-                    sorted_ranks[done:done + len(prod)] = p_ranks[p_idx]
-                done += len(prod)
+                lo = 0
+                while lo < len(counts):
+                    # a chunk: the next run of whole P with at most SIEVE_CHUNK_PAIRS pairs, or one P
+                    hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + SIEVE_CHUNK_PAIRS, side="right")))
+                    chunk = counts[lo:hi]
+                    p_idx = np.repeat(np.arange(lo, hi), chunk)
+                    g = g_order[np.arange(len(p_idx)) - np.repeat(np.cumsum(chunk) - chunk, chunk)]
+                    p_codes = self.irr_codes[e][p_idx]
+                    prod = _clmul_codes(g, d - e, p_codes, e) if q == 2 else _product_codes(add, mul, q, g, d - e, p_codes, e)
+                    types[prod] = join[self.types[d - e][g]]
+                    if d < kmax:
+                        # P's rank is nondecreasing along the pairs and rises with e, so the products come in rank order
+                        order[done:done + len(prod)] = prod
+                        sorted_ranks[done:done + len(prod)] = p_ranks[p_idx]
+                    done += len(prod)
+                    lo = hi
             # codes never produced as products are the irreducibles of degree d, and they rank last
             irr = np.flatnonzero(types < 0)
             types[irr] = pid[(d,)]

@@ -98,9 +98,25 @@ def test_lambda_table_sums_to_q_power(p, nu, kmax):
         assert int(pt.lambda_table(k).sum(dtype="int64")) == spec.q**k, (spec.q, k)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 97])
+def test_sieve_chunks_match_default_build(chunk, monkeypatch):
+    # chunks of at most 1, 2 or 97 pairs: a cap below one P's run of pairs, and cuts inside and across
+    # factor degrees, through the carry-less and the table kernels
+    for p, nu, kmax in [(2, 1, 12), (3, 1, 7), (2, 2, 6), (5, 1, 5), (3, 2, 4), (7, 1, 4)]:
+        spec = gf.make_field(p, nu)
+        default = tables.PolyTables(spec, kmax)
+        with monkeypatch.context() as m:
+            m.setattr(tables, "SIEVE_CHUNK_PAIRS", chunk)
+            chunked = tables.PolyTables(spec, kmax)
+        for d in range(1, kmax + 1):
+            assert np.array_equal(chunked.types[d], default.types[d]), (spec.q, d)
+            assert np.array_equal(chunked.irr_codes[d], default.irr_codes[d]), (spec.q, d)
+
+
 def test_sieve_memory_per_code():
-    # tracemalloc peak of a build per sieved code: the carry-less q = 2 sieve and a table sieve
-    for (p, nu, kmax), bound in (((2, 1, 16), 24), ((3, 2, 6), 27)):
+    # tracemalloc peak of a build per sieved code: the carry-less q = 2 sieve and two table sieves,
+    # whose largest degrees have more (g, P) pairs than one chunk
+    for (p, nu, kmax), bound in (((2, 1, 16), 24), ((3, 2, 6), 12), ((13, 1, 5), 14)):
         spec = gf.make_field(p, nu)
         gf.field_table(spec)
         tables.PolyTables(spec, 2)  # imports and caches that a first build fills are not the sieve's

@@ -27,7 +27,10 @@ then the ring's microseconds a pair product, and then the rule's
 constants as `statistics` has them, so a change to those
 constants can cite a command rather than prose.  The whole-degree points
 are small fields and degrees, where the rule factors; their medians are
-printed apart and do not enter the measured medians.
+printed apart and do not enter the measured medians.  So are the sieve-only
+points: builds of q^k about 10^5-10^6 codes, large enough that a change to
+the sieve shows beside the spread.  One process builds them all, each
+round every point in turn, in an order that rotates from round to round.
 
     python -m compileall -q src && python tools/route_costs.py
 
@@ -52,6 +55,8 @@ from ffstat import statistics as st
 
 POINTS = ((2, 14), (3, 9), (5, 6), (9, 5), (7, 5))
 WHOLE_DEGREE_POINTS = ((3, 4), (3, 5), (2, 8))  # every member, as in the scans and mean-variance runs of the bench
+SIEVE_POINTS = ((2, 18), (3, 11), (9, 6), (13, 5))  # sieve only, interleaved in one process
+SIEVE_ROUNDS = 7  # builds of each sieve-only point, median kept
 PROCESSES = 7  # fresh processes timing the start-up, median kept
 MEMBERS = 300  # members factored at each point
 REPS = 3  # timings of the sieve and of the factoring at each point, median kept
@@ -89,6 +94,25 @@ for _ in range(reps):
         pr.factorization_type(pr.monic_from_code(spec, k, c))
     factor.append(time.perf_counter() - t)
 print(json.dumps([sorted(sieve)[reps // 2], sorted(factor)[reps // 2]]))
+"""
+
+SIEVE = """
+import json, sys, time
+from ffstat import gf, tables
+rounds, *qk = map(int, sys.argv[1:])
+points = list(zip(qk[::2], qk[1::2]))
+specs = [gf.make_field(*gf.prime_power(q)) for q, _ in points]
+for spec in specs:
+    gf.field_table(spec)
+    tables.PolyTables(spec, 2)
+times = [[] for _ in points]
+for r in range(rounds):
+    for j in range(len(points)):
+        i = (j + r) % len(points)
+        t = time.perf_counter()
+        tables.PolyTables(specs[i], points[i][1])
+        times[i].append(time.perf_counter() - t)
+print(json.dumps(times))
 """
 
 RING = """
@@ -143,6 +167,13 @@ def main() -> int:
     print("whole-degree points, every member factored in code order:")
     _, whole_us = _points(WHOLE_DEGREE_POINTS, lambda q, k: q**k)
     print(f"whole-degree factoring {min(whole_us):.0f}-{max(whole_us):.0f} us a member, median {statistics.median(whole_us):.0f}")
+    print(f"sieve-only points, {SIEVE_ROUNDS} interleaved builds each in one process:")
+    print(f"{'q':>3} {'k':>3} {'codes':>8} {'sieve s':>8} {'us/code':>8} {'min-max us/code':>16}")
+    times = json.loads(_child(SIEVE, SIEVE_ROUNDS, *(x for point in SIEVE_POINTS for x in point)))
+    for (q, k), ts in zip(SIEVE_POINTS, times):
+        codes = sum(q**d for d in range(1, k + 1))
+        s = statistics.median(ts)
+        print(f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {s / codes * 1e6:>8.3f} {min(ts) / codes * 1e6:>7.3f}-{max(ts) / codes * 1e6:.3f}")
     print("ring points, microseconds a projected pair product:")
     print(f"{'q':>3} {'deg D':>5} {'k':>3} {'types':>6} {'products':>10} {'ring s':>8} {'us/product':>10}")
     ring_us = []
