@@ -42,9 +42,24 @@ k = 5 and 16 B at q = 3, k = 11 (unchunked: 22 B at q = 9, k = 6 and
 26 B at q = 13, k = 5).  The rest is what the build holds across
 degrees: the kept types, about 3-5 B per code, and below the top degree
 the int32 rank order and ranks, 8 B per code.
+
+No kernel here calls BLAS, yet numpy's bundled OpenBLAS starts a pool of
+one worker thread per core when it loads, and on 2 cores the idle worker
+spins beside the sieve: the bench's `sieve-scans` took 1.32 s of CPU in
+0.82 s of wall time, and 0.79 s in 0.79 s with one thread.  So this
+module sets OPENBLAS_NUM_THREADS to 1 before it imports numpy, unless
+the variable is already set, and every process that loads numpy through
+ffstat runs one OS thread.  The setting stays in `os.environ`, so child
+processes started afterwards inherit it.
 """
 
 from __future__ import annotations
+
+import os
+
+# ffstat calls no BLAS routine; OpenBLAS reads this only when it loads, so it
+# must precede the first numpy import and does nothing once numpy is loaded
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

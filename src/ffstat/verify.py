@@ -7,8 +7,9 @@ excluded cells.  The deviation bound's constant is non-effective, so no
 a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
-Scans run in one thread and visit cells in order, so reports are
-deterministic; `ScanOptions.workers` is accepted and ignored.  Both
+Scans visit cells in order, so reports are deterministic, and run in
+the process's one OS thread (`tables` starts numpy's OpenBLAS with no
+worker threads); `ScanOptions.workers` is accepted and ignored.  Both
 scans take their route from `statistics.census_route`.  An interval
 scan counts all q^k monic polynomials of degree k on the route it
 picks, so a small one factors its members.  A progression scan never

@@ -1,7 +1,8 @@
 """The module graph runs one way, numpy loads only where type tables are built or read,
-no command loads `dataclasses` or `inspect`, the command line loads `statistics` and `verify`
-only for the subcommands that run them, and the names the bench tracer and the route
-calibration reach by name exist."""
+a command that builds them runs one OS thread and no module calls BLAS, no command loads
+`dataclasses` or `inspect`, the command line loads `statistics` and `verify` only for the
+subcommands that run them, and the names the bench tracer and the route calibration reach
+by name exist."""
 
 import ast
 import importlib
@@ -69,8 +70,27 @@ def test_no_module_imports_dataclasses():
                 assert "dataclasses" not in _imported_modules(node), f"{path.stem} imports dataclasses"
 
 
+# numpy routines that call BLAS; `tables` starts OpenBLAS with one thread on the grounds that none is called
+BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "outer", "vdot", "linalg"}
+
+
+def test_no_module_calls_blas():
+    for path in sorted((SRC / "ffstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.stem}:{getattr(node, 'lineno', '')}"
+            if isinstance(node, ast.Attribute):  # np.dot(a, b), np.linalg.norm(a), and the method a.dot(b)
+                numpy_name = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                assert not (node.attr in BLAS_CALLS and (numpy_name or node.attr == "dot")), f"{where} calls {node.attr}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name if isinstance(node, ast.Import) else f"{node.module}.{a.name}" for a in node.names]
+                for top, *rest in (name.split(".") for name in names):
+                    assert top != "numpy" or not BLAS_CALLS & set(rest), f"{where} imports {names}"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), f"{where} uses the @ operator"
+
+
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from ffstat import cli
 out = []
 for argv in json.loads(sys.argv[1]):
@@ -78,7 +98,8 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     out.append([argv[0], code, "numpy" in sys.modules, "ffstat.tables" in sys.modules,
                 "dataclasses" in sys.modules, "inspect" in sys.modules])
-print(json.dumps(out))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([out, threads]))
 """
 
 
@@ -109,14 +130,26 @@ def test_light_commands_do_not_load_numpy():
     ]
     control = "interval --p 5 --k 5 --m 4 --f 1,2,3,4,0,1"  # 3,125 members: the census builds and reads type tables
     argvs = [line.split() for line in light + [control]]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+        capture_output=True, text=True, timeout=120, env=dict(env, PYTHONPATH=str(SRC)), check=True,
     )
-    rows = json.loads(proc.stdout)
+    rows, threads = json.loads(proc.stdout)
     assert [row[1] for row in rows] == [0] * len(argvs)
     assert [row[2:] for row in rows[:-1]] == [[False] * 4] * len(light), rows
     assert rows[-1][2:4] == [True, True]  # numpy itself imports inspect
+    if threads is not None:  # no /proc/self/task on this platform
+        assert threads == 1  # OpenBLAS started no worker threads for the tables' census
+
+
+def test_an_explicit_openblas_thread_count_is_kept():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, ffstat.tables; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2"),
+    )
+    assert proc.stdout.strip() == "2"
 
 
 LOADED = """

@@ -30,7 +30,13 @@ are small fields and degrees, where the rule factors; their medians are
 printed apart and do not enter the measured medians.  So are the sieve-only
 points: builds of q^k about 10^5-10^6 codes, large enough that a change to
 the sieve shows beside the spread.  One process builds them all, each
-round every point in turn, in an order that rotates from round to round.
+round every point in turn, in an order that rotates from round to round,
+and times a fixed reference load in the same rotation: the interpreter
+loop and numpy sort that `perfbench/speed.py` probes the machine with.
+Each build is also printed as a ratio to the reference load of its round.
+The machine's speed moves every point together by up to 2x from run to
+run; the ratios cancel most of that drift, so two trees compare by their
+ratios.
 
     python -m compileall -q src && python tools/route_costs.py
 
@@ -99,18 +105,29 @@ print(json.dumps([sorted(sieve)[reps // 2], sorted(factor)[reps // 2]]))
 SIEVE = """
 import json, sys, time
 from ffstat import gf, tables
+import numpy as np  # after `tables`, which sets OpenBLAS's thread count before numpy loads
 rounds, *qk = map(int, sys.argv[1:])
 points = list(zip(qk[::2], qk[1::2]))
 specs = [gf.make_field(*gf.prime_power(q)) for q, _ in points]
+data = np.arange(600_000, dtype=np.int64)
+
+def reference():  # the load perfbench/speed.py times, about 30 ms
+    s = 0
+    for i in range(150_000):
+        s += i * i % 7
+    np.sort(data * 2654435761 % 1000003)
+
+loads = [lambda spec=spec, k=k: tables.PolyTables(spec, k) for spec, (_, k) in zip(specs, points)] + [reference]
 for spec in specs:
     gf.field_table(spec)
     tables.PolyTables(spec, 2)
-times = [[] for _ in points]
+reference()
+times = [[] for _ in loads]
 for r in range(rounds):
-    for j in range(len(points)):
-        i = (j + r) % len(points)
+    for j in range(len(loads)):
+        i = (j + r) % len(loads)
         t = time.perf_counter()
-        tables.PolyTables(specs[i], points[i][1])
+        loads[i]()
         times[i].append(time.perf_counter() - t)
 print(json.dumps(times))
 """
@@ -167,13 +184,18 @@ def main() -> int:
     print("whole-degree points, every member factored in code order:")
     _, whole_us = _points(WHOLE_DEGREE_POINTS, lambda q, k: q**k)
     print(f"whole-degree factoring {min(whole_us):.0f}-{max(whole_us):.0f} us a member, median {statistics.median(whole_us):.0f}")
-    print(f"sieve-only points, {SIEVE_ROUNDS} interleaved builds each in one process:")
-    print(f"{'q':>3} {'k':>3} {'codes':>8} {'sieve s':>8} {'us/code':>8} {'min-max us/code':>16}")
-    times = json.loads(_child(SIEVE, SIEVE_ROUNDS, *(x for point in SIEVE_POINTS for x in point)))
+    print(f"sieve-only points, {SIEVE_ROUNDS} interleaved builds each in one process; / ref: to the round's reference load")
+    print(f"{'q':>3} {'k':>3} {'codes':>8} {'sieve s':>8} {'us/code':>8} {'min-max us/code':>16} {'/ ref':>6} {'min-max / ref':>14}")
+    *times, ref = json.loads(_child(SIEVE, SIEVE_ROUNDS, *(x for point in SIEVE_POINTS for x in point)))
     for (q, k), ts in zip(SIEVE_POINTS, times):
         codes = sum(q**d for d in range(1, k + 1))
         s = statistics.median(ts)
-        print(f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {s / codes * 1e6:>8.3f} {min(ts) / codes * 1e6:>7.3f}-{max(ts) / codes * 1e6:.3f}")
+        ratios = [t / r for t, r in zip(ts, ref)]
+        print(
+            f"{q:>3} {k:>3} {codes:>8} {s:>8.4f} {s / codes * 1e6:>8.3f} {min(ts) / codes * 1e6:>7.3f}-{max(ts) / codes * 1e6:.3f}"
+            f" {statistics.median(ratios):>7.2f} {min(ratios):>7.2f}-{max(ratios):.2f}"
+        )
+    print(f"reference load {statistics.median(ref) * 1e3:.1f} ms, {min(ref) * 1e3:.1f}-{max(ref) * 1e3:.1f} ms")
     print("ring points, microseconds a projected pair product:")
     print(f"{'q':>3} {'deg D':>5} {'k':>3} {'types':>6} {'products':>10} {'ring s':>8} {'us/product':>10}")
     ring_us = []
