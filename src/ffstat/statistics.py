@@ -26,7 +26,9 @@ new tables when importing numpy and sieving them is estimated to cost no
 more than factoring every member; else factoring.  The censuses of all
 q^k monic polynomials of degree k, summed per interval by `block_sums`
 for `mean_variance_nu` and `verify.scan_intervals`, and the progression
-scans of `verify` take the same rule.  The three routes give the same
+scans of `verify` take the same rule; on the table route an interval
+scan without tables built to degree k counts only the members of its
+type, from tables up to the type's largest part.  The three routes give the same
 counts and are cross-checked in the tests.  `tables`, and with it numpy,
 is imported only once the rule has picked the table route, so totients,
 radical sets, the nu decomposition, every ring census and every census
@@ -214,15 +216,16 @@ def block_sums(spec: FieldSpec, k: int, block: int, budget: int, value, table_su
     """Sums of `value(g)` over each run of `block` consecutive codes of the monic degree-k g.
 
     A census of all q^k members, by the route `census_route` picks:
-    `table_sums(tables)` returns the sums as an array read from type
-    tables, or else `value` is called on every member in code order.
+    `table_sums(tables)` is handed the `tables` module, builds or reads
+    the type tables it needs and returns the sums as an array, or else
+    `value` is called on every member in code order.
     `block` divides q^k, and the caller has checked q^k against `budget`.
     """
     qk = spec.q**k
     if census_route(spec, k, qk, budget=budget) == "tables":
         from ffstat import tables
 
-        return table_sums(tables.poly_tables(spec, k, budget)).tolist()
+        return table_sums(tables).tolist()
     values = map(value, pr.all_monic(spec, k))
     return [sum(islice(values, block)) for _ in range(qk // block)]
 
@@ -590,7 +593,8 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
     if spec.q**k > budget:
         raise BudgetError(f"q^k = {spec.q**k} exceeds the enumeration budget {budget}")
     block = spec.q ** (m + 1)
-    sums = block_sums(spec, k, block, budget, von_mangoldt, lambda pt: pt.lambda_block_sums(k, block))
+    sums = block_sums(spec, k, block, budget, von_mangoldt,
+                      lambda tables: tables.poly_tables(spec, k, budget).lambda_block_sums(k, block))
     sums[0] -= 1  # t^k lies in the base-0 interval and is filtered out
     n_blocks = len(sums)
     s1 = sum(sums)

@@ -19,29 +19,44 @@ the test suite cross-checks the two.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
 type (int16, kept in `types[d]`) and, below the top degree, the codes in
-nondecreasing rank of their largest irreducible factor beside those ranks
-(int32 each, dropped after the build).  That order needs no sort: the
-pairs of one factor degree e come out in nondecreasing rank of P, the
-factor degrees ascend, and the irreducibles of degree d rank last, so the
-products of each e are written in turn and the irreducibles after them.
-For each factor degree e < d the pairs are the irreducibles P of degree e
-with the codes g of degree d - e whose largest factor ranks at most
-rank(P): a prefix of that order.  The pairs of one e are multiplied in
-chunks, as a segmented sieve of Eratosthenes works in blocks (Bays and
-Hudson, BIT 17, 1977): a chunk is a run of whole P with at most
-`SIEVE_CHUNK_PAIRS` pairs, or one P with more, and its products are
-written to the types and the rank order before the next chunk is built,
-so the order is the one an unchunked build writes.  The products go
-through the field's add/mul index tables on int32 digits, or at q = 2,
-where a code is the bit vector of the coefficients below the leading 1,
-as a carry-less multiply with no table lookups.  So the transient is
-capped at one chunk's arrays, and the build peaks (tracemalloc, over the
-q + q^2 + ... + q^k codes of degrees 1..k) at about 12 B per sieved code
-at q = 2, k = 16 and 10 B at k = 18, 8 B at q = 9, k = 6, 9 B at q = 13,
-k = 5 and 16 B at q = 3, k = 11 (unchunked: 22 B at q = 9, k = 6 and
-26 B at q = 13, k = 5).  The rest is what the build holds across
-degrees: the kept types, about 3-5 B per code, and below the top degree
-the int32 rank order and ranks, 8 B per code.
+nondecreasing rank of their largest irreducible factor (int32) beside a
+running count per rank r of the codes whose largest factor ranks at most
+r (int64, one entry per irreducible of degree <= d; both dropped after
+the build).  That order needs no sort: the pairs of one factor degree e
+come out in nondecreasing rank of P, the factor degrees ascend, and the
+irreducibles of degree d rank last, so the products of each e are
+written in turn and the irreducibles after them.  For each factor degree
+e < d the pairs are the irreducibles P of degree e with the codes g of
+degree d - e whose largest factor ranks at most rank(P): a prefix of that
+order, whose length is the running count at rank(P), or all q^(d - e)
+codes when e > d - e.  The pairs of one e are multiplied in chunks, as a
+segmented sieve of Eratosthenes works in blocks (Bays and Hudson, BIT 17,
+1977): a chunk is a run of whole P with at most `SIEVE_CHUNK_PAIRS`
+pairs, or the next `SIEVE_CHUNK_PAIRS` pairs of one P with more, and its
+products are written to the types and the rank order before the next
+chunk is built, so the order is the one an unchunked build writes.  The
+products go through the field's add/mul index tables on int32 digits, or
+at q = 2, where a code is the bit vector of the coefficients below the
+leading 1, as a carry-less multiply with no table lookups.  So the transient is capped
+at one chunk's arrays, and the build peaks (tracemalloc, over the
+q + q^2 + ... + q^k codes of degrees 1..k) at about 9 B per sieved code
+at q = 2, k = 16 and 18, 7.5 B at q = 9, k = 6, 9 B at q = 13, k = 5 and
+15 B at q = 3, k = 11 (unchunked: 22 B at q = 9, k = 6 and 26 B at
+q = 13, k = 5).  The rest is what the build holds across degrees: the
+kept types, about 3-5 B per code, and below the top degree the int32
+rank order, 4 B per code, and the running counts, about 8 / d B per code
+of degree d.
+
+An interval scan for one type lam needs only the members of that type,
+and those are products of irreducibles whose degrees are lam's parts.
+`PolyTables.type_block_counts` lists them from tables up to lam's largest
+part: for a part d of multiplicity r, the multisets of r irreducibles of
+degree d; the parts are multiplied in ascending order with the sieve's
+kernels and chunks, and the last part's products are counted per block.
+Its work is the q + ... + q^(lam_1) codes of those tables plus at most
+one product per member and per part, where full tables sieve all
+q + ... + q^k codes: at q = 2, k = 18 and lam = 5+3+2+2+1^6 that is 62
+codes and 84 members against 524,286 codes.
 
 No kernel here calls BLAS, yet numpy's bundled OpenBLAS starts a pool of
 one worker thread per core when it loads, and on 2 cores the idle worker
@@ -176,11 +191,43 @@ def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
 # Tables of factorization types
 # ---------------------------------------------------------------------------
 
-# (g, P) pairs multiplied at once: whole P, at most this many pairs unless one P has more.  In-process builds
-# (2 cores, Python 3.11.7, numpy 2.4.6; medians of 3-7 interleaved rounds, tracemalloc peak), 2^14 / 2^15 /
-# 2^16 / unchunked: (q, k) = (9, 6) 38 / 41 / 50 / 54 ms, 3.4 / 4.5 / 7.0 / 12.8 MiB; (3, 13) 647 / 640 /
-# 677 / 707 ms, 14.6 / 15.4 / 18.8 / 35.3 MiB; (2, 21) 193 / 216 / 225 / 280 ms, 29.7 / 29.1 / 30.0 / 36.0 MiB.
+# Pairs multiplied at once: whole rows, at most this many pairs, or this many of one longer row.  In-process builds
+# (2 cores, Python 3.11.7, numpy 2.4.6; medians of 3-7 interleaved rounds, tracemalloc peak), 2^14 / 2^15 / 2^16 /
+# unchunked: (q, k) = (9, 6) 38 / 41 / 50 / 54 ms, 3.4 / 4.5 / 7.0 / 12.8 MiB; (3, 13) 647 / 640 / 677 / 707 ms,
+# 14.6 / 15.4 / 18.8 / 35.3 MiB; (2, 21) 193 / 216 / 225 / 280 ms, 29.7 / 29.1 / 30.0 / 36.0 MiB (a longer row
+# was one chunk then, and the sieve held an int32 rank per code below the top degree).
 SIEVE_CHUNK_PAIRS = 1 << 15
+
+
+def _pair_chunks(counts: np.ndarray):
+    """The pairs (i, j), j < counts[i], in (i, j) order, in chunks of at most `SIEVE_CHUNK_PAIRS` pairs.
+
+    Yields each chunk as its arrays of i and of j.  A chunk is a run of
+    whole rows i where one fits, and otherwise the next `SIEVE_CHUNK_PAIRS`
+    pairs of a longer row: the pair at position x of the whole list has
+    its j = x - the position of row i's first pair.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    lo = 0
+    while lo < total:
+        within = np.searchsorted(ends, lo + SIEVE_CHUNK_PAIRS, side="right")  # rows that end within the cap
+        hi = int(ends[within - 1]) if within and ends[within - 1] > lo else min(lo + SIEVE_CHUNK_PAIRS, total)
+        # the rows that end past lo, up to the first that ends at or past hi
+        rows = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(ends, hi, side="left") + 1)
+        starts = ends[rows] - counts[rows]
+        n = np.minimum(ends[rows], hi) - np.maximum(starts, lo)  # each row's pairs in this chunk
+        yield np.repeat(rows, n), np.arange(lo, hi) - np.repeat(starts, n)
+        lo = hi
+
+
+def _code_product(field: FieldTable):
+    """The product kernel for this field: (a, da, b, db) -> the codes of a[i] * b[i]."""
+    if field.q == 2:
+        return _clmul_codes
+    add = np.array(field.add, dtype=np.int32)
+    mul = np.array(field.mul, dtype=np.int32)
+    return lambda a, da, b, db: _product_codes(add, mul, field.q, a, da, b, db)
 
 
 class PolyTables:
@@ -208,9 +255,9 @@ class PolyTables:
         self._pid: dict[int, dict[tuple[int, ...], int]] = {}
         self._lambda: dict[int, np.ndarray] = {}
         q = spec.q
-        add = np.array(self.field.add, dtype=np.int32)
-        mul = np.array(self.field.mul, dtype=np.int32)
-        # per degree d < kmax: the codes in nondecreasing rank of their largest irreducible factor, and those ranks
+        product = _code_product(self.field)
+        # per degree d < kmax: the codes in nondecreasing rank of their largest irreducible factor, and per rank r
+        # how many of them have a largest factor of rank <= r
         ranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         first_rank: dict[int, int] = {}  # rank of the smallest irreducible code of each degree
         next_rank = 0
@@ -222,31 +269,26 @@ class PolyTables:
             types = np.full(q**d, -1, dtype=np.int16)
             if d < kmax:
                 order = np.empty(q**d, dtype=np.int32)
-                sorted_ranks = np.empty(q**d, dtype=np.int32)
-            done = 0  # codes produced so far, which fill order and sorted_ranks from the front
+                per_rank = []  # codes per rank of their largest factor, every rank of degree <= d in turn
+            done = 0  # codes produced so far, which fill order from the front
             for e in range(1, d):
                 # pairs (g, P): P irreducible of degree e, g of degree d - e whose factors all rank <= rank(P)
-                g_order, g_ranks = ranks[d - e]
-                p_ranks = first_rank[e] + np.arange(len(self.irr_codes[e]), dtype=np.int32)
-                counts = np.searchsorted(g_ranks, p_ranks, side="right")
-                ends = np.cumsum(counts)
+                g_order, g_upto = ranks[d - e]
+                n_e = len(self.irr_codes[e])
+                # a P of degree e > d - e ranks above every factor of degree d - e, so it pairs with every g
+                counts = g_upto[first_rank[e]:first_rank[e] + n_e] if 2 * e <= d else np.full(n_e, q ** (d - e))
                 join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
-                lo = 0
-                while lo < len(counts):
-                    # a chunk: the next run of whole P with at most SIEVE_CHUNK_PAIRS pairs, or one P
-                    hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + SIEVE_CHUNK_PAIRS, side="right")))
-                    chunk = counts[lo:hi]
-                    p_idx = np.repeat(np.arange(lo, hi), chunk)
-                    g = g_order[np.arange(len(p_idx)) - np.repeat(np.cumsum(chunk) - chunk, chunk)]
-                    p_codes = self.irr_codes[e][p_idx]
-                    prod = _clmul_codes(g, d - e, p_codes, e) if q == 2 else _product_codes(add, mul, q, g, d - e, p_codes, e)
+                for p_idx, g_idx in _pair_chunks(counts):
+                    g, p_codes = g_order[g_idx], self.irr_codes[e][p_idx]
+                    del p_idx, g_idx  # freed before the product's digit arrays are made: 16 B a pair off the peak
+                    prod = product(g, d - e, p_codes, e)
                     types[prod] = join[self.types[d - e][g]]
                     if d < kmax:
                         # P's rank is nondecreasing along the pairs and rises with e, so the products come in rank order
                         order[done:done + len(prod)] = prod
-                        sorted_ranks[done:done + len(prod)] = p_ranks[p_idx]
                     done += len(prod)
-                    lo = hi
+                if d < kmax:
+                    per_rank.append(counts)
             # codes never produced as products are the irreducibles of degree d, and they rank last
             irr = np.flatnonzero(types < 0)
             types[irr] = pid[(d,)]
@@ -256,8 +298,8 @@ class PolyTables:
             next_rank += len(irr)
             if d < kmax:
                 order[done:] = irr
-                sorted_ranks[done:] = first_rank[d] + np.arange(len(irr), dtype=np.int32)
-                ranks[d] = order, sorted_ranks
+                per_rank.append(np.ones(len(irr), dtype=np.int64))
+                ranks[d] = order, np.cumsum(np.concatenate(per_rank))
 
     # -- lookups ------------------------------------------------------------
 
@@ -300,6 +342,38 @@ class PolyTables:
     def block_counts(self, k: int, pid: int, block: int) -> np.ndarray:
         """Per-block counts of one partition over contiguous code blocks."""
         return (self.types[k].reshape(-1, block) == pid).sum(axis=1, dtype=np.int64)
+
+    def type_block_counts(self, lam: Partition, block: int) -> np.ndarray:
+        """`block_counts` of one type lam at degree lam.k, from the members of that type alone.
+
+        Needs tables up to lam's largest part only.  A member is a product
+        of irreducibles whose degrees are lam's parts, each product once:
+        for a part d of multiplicity r, r irreducibles of degree d in
+        nondecreasing index order.  The parts are multiplied in ascending
+        order, so the longest lists of irreducibles come last, and the
+        last part's products are counted per block chunk by chunk, never
+        all held.
+        """
+        product = _code_product(self.field)
+
+        def times(codes, deg, first, d):  # chunks of codes[i] * irr_codes[d][j] over j >= first[i], and j
+            irr = self.irr_codes[d]
+            for i, offset in _pair_chunks(len(irr) - first):
+                j = first[i] + offset
+                yield product(codes[i], deg, irr[j], d), j
+
+        codes, last = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)  # the empty product 1
+        deg, prev = 0, None
+        parts = lam.parts[::-1]
+        for n, d in enumerate(parts):
+            chunks = times(codes, deg, last if d == prev else np.zeros_like(last), d)
+            if n + 1 < len(parts):
+                codes, last = (np.concatenate(arrays) for arrays in zip(*chunks))
+            deg, prev = deg + d, d
+        counts = np.zeros(self.spec.q**lam.k // block, dtype=np.int64)
+        for prod, _ in chunks:
+            counts += np.bincount(prod // block, minlength=len(counts))
+        return counts
 
     def lambda_block_sums(self, k: int, block: int) -> np.ndarray:
         """Per-block sums of the von Mangoldt table."""

@@ -10,9 +10,12 @@ a-priori bound is asserted; instead the normalized empirical constant
 Scans visit cells in order, so reports are deterministic, and run in
 the process's one OS thread (`tables` starts numpy's OpenBLAS with no
 worker threads); `ScanOptions.workers` is accepted and ignored.  Both
-scans take their route from `statistics.census_route`.  An interval
-scan counts all q^k monic polynomials of degree k on the route it
-picks, so a small one factors its members.  A progression scan never
+scans take their route from `statistics.census_route`.  On the route
+it picks, an interval scan either factors all q^k monic polynomials of
+degree k, as a small one does, or counts from type tables: from tables
+already built to degree k when there are, and otherwise from tables up
+to its type's largest part, which list only the members of its type
+(`tables.PolyTables.type_block_counts`).  A progression scan never
 factors: it counts all classes of a modulus at once, in one
 `statistics.ResidueRing` a modulus when the rings it may build are
 priced no dearer than type tables for degree k, and otherwise from one
@@ -263,11 +266,15 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
         )
     block = q ** (m + 1)
-    counts = st.block_sums(
-        spec, k, block, opts.budget,
-        lambda g: pr.factorization_type(g) == lam,
-        lambda pt: pt.block_counts(k, pt.pid_of(lam), block),
-    )
+
+    def table_counts(tables):
+        # tables up to lam's largest part list its members; tables already built to k are read instead
+        pt = tables.poly_tables(spec, lam.parts[0], opts.budget)
+        if pt.kmax >= k:
+            return pt.block_counts(k, pt.pid_of(lam), block)
+        return pt.type_block_counts(lam, block)
+
+    counts = st.block_sums(spec, k, block, opts.budget, lambda g: pr.factorization_type(g) == lam, table_counts)
     expected = cycle_type_probability(lam) * block
     num, den = expected.numerator, expected.denominator
     per_rep = spec.p == 2 and m == 2

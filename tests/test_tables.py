@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ffstat import gf, polyring as pr, tables
-from ffstat.combinatorics import Partition, exact_prime_count, exact_type_count
+from ffstat.combinatorics import Partition, exact_prime_count, exact_type_count, partitions_of
 
 from helpers import type_of_code
 
@@ -115,8 +115,9 @@ def test_sieve_chunks_match_default_build(chunk, monkeypatch):
 
 def test_sieve_memory_per_code():
     # tracemalloc peak of a build per sieved code: the carry-less q = 2 sieve and two table sieves,
-    # whose largest degrees have more (g, P) pairs than one chunk
-    for (p, nu, kmax), bound in (((2, 1, 16), 24), ((3, 2, 6), 12), ((13, 1, 5), 14)):
+    # whose largest degrees have more (g, P) pairs than one chunk, and (3, 11), whose degrees fit one
+    # chunk each, so that what the build holds besides the chunk decides it (16.0 B with int32 ranks)
+    for (p, nu, kmax), bound in (((2, 1, 16), 24), ((3, 2, 6), 12), ((13, 1, 5), 14), ((3, 1, 11), 15)):
         spec = gf.make_field(p, nu)
         gf.field_table(spec)
         tables.PolyTables(spec, 2)  # imports and caches that a first build fills are not the sieve's
@@ -128,6 +129,43 @@ def test_sieve_memory_per_code():
         finally:
             tracemalloc.stop()
         assert peak <= bound * codes, f"q = {spec.q}, k = {kmax}: {peak / codes:.1f} B per sieved code"
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 97])
+def test_pair_chunks_cover_every_pair_once(cap, monkeypatch):
+    # empty rows, rows longer than the cap and runs of short rows: the chunks list every pair (i, j) once, in
+    # order, each at most cap pairs, and cut inside a row only where that row is longer than the cap
+    monkeypatch.setattr(tables, "SIEVE_CHUNK_PAIRS", cap)
+    rng = np.random.default_rng(cap)
+    for counts in ([0, 3, 0, 0, 1], [250, 1, 1, 0, 7], rng.integers(0, 12, 60), rng.integers(0, 300, 9), []):
+        counts = np.array(counts, dtype=np.int64)
+        chunks = list(tables._pair_chunks(counts))
+        pairs = [(i, j) for i, n in enumerate(counts.tolist()) for j in range(n)]
+        assert [(i, j) for rows, cols in chunks for i, j in zip(rows.tolist(), cols.tolist())] == pairs
+        for rows, cols in chunks:
+            assert 0 < len(rows) <= cap
+            split = cols[0] > 0 or cols[-1] < counts[rows[-1]] - 1  # the chunk starts or ends inside a row
+            assert not split or counts[rows[0]] > cap or counts[rows[-1]] > cap
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 97])
+def test_type_block_counts_match_full_tables(chunk, monkeypatch):
+    # every type (among them (k), 1^k and repeated parts) and every m, counted from tables up to the
+    # type's largest part, against full tables; chunks of 1, 2 and 97 pairs cut inside the rows of
+    # every step, None keeps the default
+    for p, nu, k in [(2, 1, 8), (3, 1, 6), (2, 2, 5), (5, 1, 4), (3, 2, 4), (7, 1, 4)]:
+        spec = gf.make_field(p, nu)
+        full = tables.PolyTables(spec, k)
+        upto = {top: tables.PolyTables(spec, top) for top in range(1, k + 1)}
+        with monkeypatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(tables, "SIEVE_CHUNK_PAIRS", chunk)
+            for lam in partitions_of(k):
+                for m in range(1, k):
+                    block = spec.q ** (m + 1)
+                    want = full.block_counts(k, full.pid_of(lam), block)
+                    got = upto[lam.parts[0]].type_block_counts(lam, block)
+                    assert np.array_equal(got, want), (spec.q, str(lam), m)
 
 
 def test_member_codes_checks_degrees(F3):

@@ -283,6 +283,24 @@ def test_whole_degree_routes_agree(q, kmax, monkeypatch):
     assert results["factor"] == results["tables"]
 
 
+def test_scan_intervals_sieves_only_to_the_largest_part(F3, monkeypatch):
+    # a cold table-route scan builds tables up to lam's largest part alone; with tables covering k built,
+    # a scan reads them instead, and both give the same report
+    k = 7  # 3^7 = 2187 members, on the table route
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    typed = tables.PolyTables.type_block_counts
+    for lam in (Partition((4, 2, 1)), Partition((2, 2, 2, 1)), Partition((1,) * k), Partition((k - 1, 1))):
+        for m in (1, 2, k - 1):
+            tables._PT_CACHE.clear()
+            cold = verify.scan_intervals(F3, k, m, lam, ScanOptions(per_cell=True))
+            assert tables._PT_CACHE[F3].kmax == lam.parts[0], (str(lam), m)
+            tables.poly_tables(F3, k)
+            monkeypatch.setattr(tables.PolyTables, "type_block_counts", None)  # warm: read types[k] alone
+            warm = verify.scan_intervals(F3, k, m, lam, ScanOptions(per_cell=True))
+            monkeypatch.setattr(tables.PolyTables, "type_block_counts", typed)
+            assert canonical_json(verify.report_to_dict(cold)) == canonical_json(verify.report_to_dict(warm))
+
+
 def test_scan_intervals_worker_determinism(F3):
     lam = Partition((5,))
     r1 = verify.scan_intervals(F3, 5, 2, lam, ScanOptions(workers=1, per_cell=True))
