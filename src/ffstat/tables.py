@@ -7,45 +7,36 @@ and a short interval is a contiguous block of them.  `statistics` and
 query that needs none never loads numpy.
 
 The central structure is a per-field table of factorization types, built
-degree by degree without any gcd machinery: order the monic irreducibles
-globally by (degree, code) and number them in that order, their rank;
-every reducible monic polynomial of degree d is then the product g * P of
-its largest irreducible factor P and the product g of the remaining
-factors, and that writing is unique.  Walking the (g, P) pairs produces
-every reducible polynomial exactly once, and the codes never produced are
-the irreducibles of degree d.  This construction takes only products
-from `polyring` and is independent of its division-based factorization;
-the test suite cross-checks the two.
+degree by degree without any gcd machinery: a reducible monic polynomial
+f of degree d whose largest irreducible factors have degree e is P * g
+for each irreducible P of degree e dividing f, where g = f / P has no
+factor of degree above e, and the type of f is the type of g with one
+part e added.  So the sieve multiplies, for each factor degree e < d,
+every irreducible P of degree e by every code g of degree d - e whose
+type has largest part <= e (every code when 2e >= d), and writes the
+joined type at each product.  A product with r distinct irreducible
+factors of degree e is written r times, each time with the same type;
+the codes never written are the irreducibles of degree d.  This
+construction takes only products from `polyring` and is independent of
+its division-based factorization; the test suite cross-checks the two.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
-type (int16, kept in `types[d]`) and, below the top degree, the codes in
-nondecreasing rank of their largest irreducible factor (int32) beside a
-running count per rank r of the codes whose largest factor ranks at most
-r (int64, one entry per irreducible of degree <= d; both dropped after
-the build).  That order needs no sort: the pairs of one factor degree e
-come out in nondecreasing rank of P, the factor degrees ascend, and the
-irreducibles of degree d rank last, so the products of each e are
-written in turn and the irreducibles after them.  For each factor degree
-e < d the pairs are the irreducibles P of degree e with the codes g of
-degree d - e whose largest factor ranks at most rank(P): a prefix of that
-order, whose length is the running count at rank(P), or all q^(d - e)
-codes when e > d - e.  The pairs of one e are multiplied in chunks, as a
-segmented sieve of Eratosthenes works in blocks (Bays and Hudson, BIT 17,
-1977): a chunk is a run of whole P with at most `SIEVE_CHUNK_PAIRS`
-pairs, or the next `SIEVE_CHUNK_PAIRS` pairs of one P with more, and its
-products are written to the types and the rank order before the next
-chunk is built, so the order is the one an unchunked build writes.  The
-products go through the field's add/mul index tables on int32 digits, or
-at q = 2, where a code is the bit vector of the coefficients below the
-leading 1, as a carry-less multiply with no table lookups.  So the transient is capped
-at one chunk's arrays, and the build peaks (tracemalloc, over the
-q + q^2 + ... + q^k codes of degrees 1..k) at about 9 B per sieved code
-at q = 2, k = 16 and 18, 7.5 B at q = 9, k = 6, 9 B at q = 13, k = 5 and
-15 B at q = 3, k = 11 (unchunked: 22 B at q = 9, k = 6 and 26 B at
-q = 13, k = 5).  The rest is what the build holds across degrees: the
-kept types, about 3-5 B per code, and below the top degree the int32
-rank order, 4 B per code, and the running counts, about 8 / d B per code
-of degree d.
+type (int16, kept in `types[d]`), and the g of a factor degree e are
+read from the types of degree d - e.  The pairs of one e are multiplied
+in chunks, as a segmented sieve of Eratosthenes works in blocks (Bays
+and Hudson, BIT 17, 1977): a chunk is a run of whole P with at most
+`SIEVE_CHUNK_PAIRS` pairs, or the next `SIEVE_CHUNK_PAIRS` pairs of one P
+with more, and its products are written to the types before the next
+chunk is built.  The products go through the field's add/mul index
+tables on int32 digits, or at q = 2, where a code is the bit vector of
+the coefficients below the leading 1, as a carry-less multiply with no
+table lookups.  So the transient is capped at one chunk's arrays, and
+the build peaks (tracemalloc, over the q + q^2 + ... + q^k codes of
+degrees 1..k) at about 7.6 B per sieved code at q = 2, k = 16, 6.0 B at
+q = 2, k = 18, 6.5 B at q = 9, k = 6, 8.0 B at q = 13, k = 5, 12.8 B at
+q = 3, k = 11 and 4.0 B at q = 3, k = 13 (unchunked: 24 B at q = 9,
+k = 6 and at q = 13, k = 5).  The rest is the kept types, 2 B a
+code of each degree, and the int64 codes g of the current factor degree.
 
 An interval scan for one type lam needs only the members of that type,
 and those are products of irreducibles whose degrees are lam's parts.
@@ -110,12 +101,19 @@ def _product_codes(add: np.ndarray, mul: np.ndarray, q: int, a: np.ndarray, da: 
 
 
 def _digits(codes: np.ndarray, n: int, q: int) -> list[np.ndarray]:
-    """The n base-q digits of the codes, least significant first, as int32 arrays."""
+    """The n base-q digits of the codes, least significant first, as int32 arrays.
+
+    Each digit is the rest less q times the quotient: numpy divides an
+    array by a scalar through a precomputed multiplier, but runs `%`
+    element by element (numpy 2.4, 32,768 codes: `// 9` 10 us, `% 9` 67 us).
+    """
     rest = codes.astype(np.int32)
     digits = []
     for _ in range(n):
-        digits.append(rest % q)
-        rest //= q
+        quot = rest // q
+        rest -= quot * q
+        digits.append(rest)
+        rest = quot
     return digits
 
 
@@ -195,7 +193,8 @@ def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
 # (2 cores, Python 3.11.7, numpy 2.4.6; medians of 3-7 interleaved rounds, tracemalloc peak), 2^14 / 2^15 / 2^16 /
 # unchunked: (q, k) = (9, 6) 38 / 41 / 50 / 54 ms, 3.4 / 4.5 / 7.0 / 12.8 MiB; (3, 13) 647 / 640 / 677 / 707 ms,
 # 14.6 / 15.4 / 18.8 / 35.3 MiB; (2, 21) 193 / 216 / 225 / 280 ms, 29.7 / 29.1 / 30.0 / 36.0 MiB (a longer row
-# was one chunk then, and the sieve held an int32 rank per code below the top degree).
+# was one chunk then, and the sieve also held every code of each degree below the top in the order of its
+# largest factor).
 SIEVE_CHUNK_PAIRS = 1 << 15
 
 
@@ -256,50 +255,28 @@ class PolyTables:
         self._lambda: dict[int, np.ndarray] = {}
         q = spec.q
         product = _code_product(self.field)
-        # per degree d < kmax: the codes in nondecreasing rank of their largest irreducible factor, and per rank r
-        # how many of them have a largest factor of rank <= r
-        ranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        first_rank: dict[int, int] = {}  # rank of the smallest irreducible code of each degree
-        next_rank = 0
         for d in range(1, kmax + 1):
             parts_list = partitions_of(d)
             pid = {lam.parts: i for i, lam in enumerate(parts_list)}
             self.partitions[d] = parts_list
             self._pid[d] = pid
             types = np.full(q**d, -1, dtype=np.int16)
-            if d < kmax:
-                order = np.empty(q**d, dtype=np.int32)
-                per_rank = []  # codes per rank of their largest factor, every rank of degree <= d in turn
-            done = 0  # codes produced so far, which fill order from the front
             for e in range(1, d):
-                # pairs (g, P): P irreducible of degree e, g of degree d - e whose factors all rank <= rank(P)
-                g_order, g_upto = ranks[d - e]
-                n_e = len(self.irr_codes[e])
-                # a P of degree e > d - e ranks above every factor of degree d - e, so it pairs with every g
-                counts = g_upto[first_rank[e]:first_rank[e] + n_e] if 2 * e <= d else np.full(n_e, q ** (d - e))
-                join = np.array([pid.get((e,) + lam.parts, -1) for lam in self.partitions[d - e]], dtype=np.int16)
-                for p_idx, g_idx in _pair_chunks(counts):
-                    g, p_codes = g_order[g_idx], self.irr_codes[e][p_idx]
+                # pairs (P, g): P irreducible of degree e, g of degree d - e with no factor of degree above e
+                g_types, g_parts = self.types[d - e], self.partitions[d - e]
+                largest = np.array([lam.parts[0] for lam in g_parts], dtype=np.int8)
+                g_codes = np.flatnonzero(largest[g_types] <= e)
+                join = np.array([pid.get((e,) + lam.parts, -1) for lam in g_parts], dtype=np.int16)
+                irr = self.irr_codes[e]
+                for p_idx, g_idx in _pair_chunks(np.full(len(irr), len(g_codes))):
+                    g, p_codes = g_codes[g_idx], irr[p_idx]
                     del p_idx, g_idx  # freed before the product's digit arrays are made: 16 B a pair off the peak
-                    prod = product(g, d - e, p_codes, e)
-                    types[prod] = join[self.types[d - e][g]]
-                    if d < kmax:
-                        # P's rank is nondecreasing along the pairs and rises with e, so the products come in rank order
-                        order[done:done + len(prod)] = prod
-                    done += len(prod)
-                if d < kmax:
-                    per_rank.append(counts)
-            # codes never produced as products are the irreducibles of degree d, and they rank last
+                    types[product(g, d - e, p_codes, e)] = join[g_types[g]]
+            # codes never produced as products are the irreducibles of degree d
             irr = np.flatnonzero(types < 0)
             types[irr] = pid[(d,)]
             self.types[d] = types
-            self.irr_codes[d] = irr.astype(np.int64, copy=False)
-            first_rank[d] = next_rank
-            next_rank += len(irr)
-            if d < kmax:
-                order[done:] = irr
-                per_rank.append(np.ones(len(irr), dtype=np.int64))
-                ranks[d] = order, np.cumsum(np.concatenate(per_rank))
+            self.irr_codes[d] = irr
 
     # -- lookups ------------------------------------------------------------
 
@@ -322,18 +299,13 @@ class PolyTables:
             return self._lambda[k]
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds kmax = {self.kmax}")
-        ft = self.field
-        lam = np.zeros(ft.q**k, dtype=np.int8)
+        product = _code_product(self.field)
+        lam = np.zeros(self.spec.q**k, dtype=np.int8)
         for d in divisors(k):
-            e = k // d
-            if e == 1:
-                lam[self.irr_codes[d]] = d
-                continue
-            for code in self.irr_codes[d].tolist():
-                acc = coeffs = pr.code_to_coeffs(code, d, ft.q)
-                for _ in range(e - 1):
-                    acc = pr.mul_idx(ft, acc, coeffs)
-                lam[pr.coeffs_to_code(acc, ft.q)] = d
+            irr = powers = self.irr_codes[d]
+            for deg in range(d, k, d):
+                powers = product(powers, deg, irr, d)
+            lam[powers] = d
         self._lambda[k] = lam
         return lam
 

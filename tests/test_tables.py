@@ -26,7 +26,7 @@ def _table_kernel(spec):
 @pytest.mark.parametrize("q", [3, 4, 5, 9, 13])
 def test_product_codes_match_polynomial_products(q):
     # every split (da, db) with da + db <= 7, on seeded random codes and the all-top-digit codes,
-    # with the codes as int32 (the sieve's g) and as int64 (its irreducible codes)
+    # with the codes as int32 and as int64
     spec = gf.make_field(*gf.prime_power(q))
     ft = gf.field_table(spec)
     convolve = _table_kernel(spec)
@@ -58,7 +58,7 @@ def test_sieve_matches_closed_forms(p, nu, kmax):
 
 def test_clmul_matches_table_convolution(F2):
     # every split (da, db) of a product degree up to the default budget's 2^26, on seeded random
-    # codes and the all-ones codes; the sieve passes its g codes as int32
+    # codes and the all-ones codes, one factor's codes as int32
     convolve = _table_kernel(F2)
     top = gf.DEFAULT_BUDGET.bit_length() - 1
     rng = np.random.default_rng(20132)
@@ -79,14 +79,20 @@ def test_clmul_sieve_matches_table_sieve(F2, monkeypatch):
         assert np.array_equal(clmul.irr_codes[d], table.irr_codes[d]), d
 
 
-@pytest.mark.parametrize("p,nu,d", [(2, 1, 16), (3, 2, 5)])
+@pytest.mark.parametrize("p,nu,d", [(2, 1, 16), (3, 2, 5), (2, 1, 10), (3, 1, 6), (2, 2, 5), (5, 1, 4)])
 def test_sieve_matches_factoring_on_sampled_codes(p, nu, d):
+    # 200 seeded codes of degree d, or every code of every degree up to d where q^d <= 4096: among them
+    # the products of two or more distinct irreducibles of their largest factor degree, which the sieve writes
+    # once for each of those factors
     spec = gf.make_field(p, nu)
     pt = tables.poly_tables(spec, d)
-    rng = random.Random(20130 + spec.q)
-    for code in rng.sample(range(spec.q**d), 200):
-        f = pr.monic_from_code(spec, d, code)
-        assert type_of_code(pt, d, code) == pr.factorization_type(f), (spec.q, d, code)
+    if spec.q**d <= 4096:
+        points = [(k, code) for k in range(1, d + 1) for code in range(spec.q**k)]
+    else:
+        points = [(d, code) for code in random.Random(20130 + spec.q).sample(range(spec.q**d), 200)]
+    for k, code in points:
+        f = pr.monic_from_code(spec, k, code)
+        assert type_of_code(pt, k, code) == pr.factorization_type(f), (spec.q, k, code)
 
 
 @pytest.mark.parametrize("p,nu,kmax", [(2, 1, 12), (3, 1, 7), (2, 2, 6), (7, 1, 4)])
@@ -114,10 +120,11 @@ def test_sieve_chunks_match_default_build(chunk, monkeypatch):
 
 
 def test_sieve_memory_per_code():
-    # tracemalloc peak of a build per sieved code: the carry-less q = 2 sieve and two table sieves,
-    # whose largest degrees have more (g, P) pairs than one chunk, and (3, 11), whose degrees fit one
-    # chunk each, so that what the build holds besides the chunk decides it (16.0 B with int32 ranks)
-    for (p, nu, kmax), bound in (((2, 1, 16), 24), ((3, 2, 6), 12), ((13, 1, 5), 14), ((3, 1, 11), 15)):
+    # tracemalloc peak of a build per sieved code: the carry-less q = 2 sieve at two sizes and two table
+    # sieves, whose largest degrees have more (P, g) pairs than one chunk, and (3, 11), whose degrees fit
+    # one chunk each, so that what the build holds besides the chunk decides it (about 12.8 B)
+    bounds = (((2, 1, 16), 9), ((2, 1, 18), 7), ((3, 2, 6), 12), ((13, 1, 5), 14), ((3, 1, 11), 14))
+    for (p, nu, kmax), bound in bounds:
         spec = gf.make_field(p, nu)
         gf.field_table(spec)
         tables.PolyTables(spec, 2)  # imports and caches that a first build fills are not the sieve's
