@@ -255,7 +255,7 @@ def _specializations(f: Poly, g: Poly, m: int, route: str):
     pt = tables.poly_tables(spec, k)
     if lo is not None:
         return pt, slice(lo, lo + size)
-    return pt, tables.member_codes(pt.field, f.ci, tables.multiplier_rows(pt.field, g.ci, m, k))
+    return pt, tables.member_codes(pt, f.ci, g.ci, m)
 
 
 def _census(f: Poly, g: Poly, m: int, route: str) -> TypeCensus:

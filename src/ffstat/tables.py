@@ -17,8 +17,18 @@ type has largest part <= e (every code when 2e >= d), and writes the
 joined type at each product.  A product with r distinct irreducible
 factors of degree e is written r times, each time with the same type;
 the codes never written are the irreducibles of degree d.  This
-construction takes only products from `polyring` and is independent of
-its division-based factorization; the test suite cross-checks the two.
+construction imports nothing from `polyring` and is independent of its
+division-based factorization; the test suite cross-checks the two.
+
+Every kernel here has one digit format: the base-q digits of monic
+codes as int32 arrays, combined through the field's add and mul tables,
+which each `PolyTables` holds as two flat int32 index arrays, 8 B a pair
+of field elements (8 MiB at q = 1024), converted from `gf.FieldTable`'s
+lists once per table.  The sieve, the von Mangoldt tables and the typed
+interval counts multiply through `PolyTables.product`, and
+`member_codes` lists the f + r + g*h of a residue class, or of every
+monic polynomial of one degree a modulus at a time, by convolving g with
+all h at once.
 
 The sieve works on numpy arrays.  Per degree d it keeps, per code, the
 type (int16, kept in `types[d]`), and the g of a factor degree e are
@@ -69,9 +79,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from ffstat import gf, polyring as pr
+from ffstat import gf
 from ffstat.combinatorics import Partition, divisors, partitions_of
-from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec, FieldTable
+from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec, FieldTable  # FieldTable: the bench times tables.FieldTable.__init__
 
 
 # ---------------------------------------------------------------------------
@@ -136,53 +146,35 @@ def _clmul_codes(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
     return code
 
 
-def _code_digits(ft: FieldTable, ci, k: int) -> list[int]:
-    """Base-p digits, least significant first, of the code of the first k coefficients of `ci`."""
-    q, p = ft.q, ft.spec.p
-    code = sum(c * q**i for i, c in enumerate(ci[:k]))
-    return [code // p**t % p for t in range(k * ft.spec.nu)]
+def member_codes(pt: PolyTables, f_ci, g_ci, m: int, lead: int = 0) -> np.ndarray:
+    """Codes of the monic f + r + g*h for every r of degree < lead and every h of degree <= m.
 
-
-def multiplier_rows(ft: FieldTable, g_ci, m: int, k: int) -> list[list[int]]:
-    """The F_p-linear map h -> g*h on the base-p digits of degree-k codes, for deg h <= m.
-
-    Needs deg g + m < k.  The base-p digits of a code are the F_p-coordinates
-    of its coefficients; row s is the digits of g * t^(s // nu) * (the element
-    of index p^(s % nu)), the image of h-digit s, coordinate s % nu of h's
-    coefficient s // nu.  The rows depend on g alone, so a caller that lists
-    many f + g*h for one g computes them once.
+    `f_ci` and `g_ci` are the index tuples of monic f and of g, with
+    deg g + m < deg f.  The codes run in h-code order, r's code fastest.
+    Like `_product_codes`, g is convolved with all h at once on their
+    base-q digits through the tables' int32 add/mul arrays, r's digits are
+    added to the lowest `lead` coefficients, and each code is built by
+    Horner from the top coefficient down: the coefficients at and above
+    `lead` over the q^(m+1) h alone, then over every (h, r) pair.
     """
-    p, nu = ft.spec.p, ft.spec.nu
+    q, k = pt.spec.q, len(f_ci) - 1
     if len(g_ci) + m > k:
         raise ValueError("need deg g + m < deg f")
-    return [_code_digits(ft, pr.mul_idx(ft, (0,) * (s // nu) + (p ** (s % nu),), g_ci), k) for s in range((m + 1) * nu)]
-
-
-def member_codes(ft: FieldTable, f_ci, rows: list[list[int]]) -> np.ndarray:
-    """Codes of the monic f + g*h for every h of degree <= m, in h-code order.
-
-    `f_ci` is the index tuple of monic f and `rows` are g's
-    `multiplier_rows` for m and deg f.  h -> f + g*h is F_p-affine on code
-    digits: h-digit s adds its multiple of row s, and row 0 varies fastest.
-    The rows may begin with identity rows, one per base-p code digit of a
-    residue r of degree below deg g; the codes are then those of f + r + g*h,
-    r's code fastest.  Codes are built one digit at a time over all members,
-    so no members x digits matrix is held: about 24 B a member (int64 codes
-    and two digit columns).
-    """
-    q, p = ft.q, ft.spec.p
-    k = len(f_ci) - 1
-    if any(len(row) != k * ft.spec.nu for row in rows):
-        raise ValueError("multiplier rows are for another degree than deg f")
-    f_digits = _code_digits(ft, f_ci, k)
-    codes = np.zeros(p ** len(rows), dtype=np.int64 if q**k <= 2**63 else object)
-    for t in reversed(range(len(f_digits))):  # Horner over the code's digits, most significant first
-        col = np.array([f_digits[t]], dtype=np.int64)
-        for row in rows:  # h-digit s becomes the slowest-varying axis so far
-            col = ((np.arange(p) * row[t] % p)[:, None] + col).reshape(-1)
-        codes *= p
-        codes += col % p  # col holds digit sums, reduced once
-    return codes
+    h = _digits(np.arange(q ** (m + 1)), m + 1, q)
+    r = _digits(np.arange(q**lead), lead, q)
+    codes = np.zeros((q ** (m + 1), 1), dtype=np.int64)  # one row per h; r's columns join at coefficient lead - 1
+    for t in reversed(range(k)):
+        coeff = np.full(q ** (m + 1), f_ci[t], dtype=np.int32)
+        for i in range(max(0, t - m), min(len(g_ci), t + 1)):
+            if g_ci[i]:  # a zero coefficient of g adds nothing
+                coeff = pt.add.take(coeff * q + pt.mul.take(g_ci[i] * q + h[t - i]))
+        coeff = pt.add.take(coeff[:, None] * q + r[t]) if t < lead else coeff[:, None]
+        if t == lead - 1:
+            codes = codes * q + coeff
+        else:
+            codes *= q
+            codes += coeff
+    return codes.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +212,6 @@ def _pair_chunks(counts: np.ndarray):
         lo = hi
 
 
-def _code_product(field: FieldTable):
-    """The product kernel for this field: (a, da, b, db) -> the codes of a[i] * b[i]."""
-    if field.q == 2:
-        return _clmul_codes
-    add = np.array(field.add, dtype=np.int32)
-    mul = np.array(field.mul, dtype=np.int32)
-    return lambda a, da, b, db: _product_codes(add, mul, field.q, a, da, b, db)
-
-
 class PolyTables:
     """Per-field tables of factorization types for every degree up to kmax.
 
@@ -247,6 +230,9 @@ class PolyTables:
             )
         self.spec = spec
         self.field = gf.field_table(spec)
+        # the flat field tables as int32 index arrays, 8 B a pair of elements, for every kernel on base-q digits
+        self.add = np.array(self.field.add, dtype=np.int32)
+        self.mul = np.array(self.field.mul, dtype=np.int32)
         self.kmax = kmax
         self.partitions: dict[int, list[Partition]] = {}
         self.types: dict[int, np.ndarray] = {}
@@ -254,7 +240,6 @@ class PolyTables:
         self._pid: dict[int, dict[tuple[int, ...], int]] = {}
         self._lambda: dict[int, np.ndarray] = {}
         q = spec.q
-        product = _code_product(self.field)
         for d in range(1, kmax + 1):
             parts_list = partitions_of(d)
             pid = {lam.parts: i for i, lam in enumerate(parts_list)}
@@ -271,12 +256,18 @@ class PolyTables:
                 for p_idx, g_idx in _pair_chunks(np.full(len(irr), len(g_codes))):
                     g, p_codes = g_codes[g_idx], irr[p_idx]
                     del p_idx, g_idx  # freed before the product's digit arrays are made: 16 B a pair off the peak
-                    types[product(g, d - e, p_codes, e)] = join[g_types[g]]
+                    types[self.product(g, d - e, p_codes, e)] = join[g_types[g]]
             # codes never produced as products are the irreducibles of degree d
             irr = np.flatnonzero(types < 0)
             types[irr] = pid[(d,)]
             self.types[d] = types
             self.irr_codes[d] = irr
+
+    def product(self, a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
+        """Codes of the products a[i] * b[i] of monic codes of degrees da and db."""
+        if self.spec.q == 2:
+            return _clmul_codes(a, da, b, db)
+        return _product_codes(self.add, self.mul, self.spec.q, a, da, b, db)
 
     # -- lookups ------------------------------------------------------------
 
@@ -299,12 +290,11 @@ class PolyTables:
             return self._lambda[k]
         if k > self.kmax:
             raise ValueError(f"k = {k} exceeds kmax = {self.kmax}")
-        product = _code_product(self.field)
         lam = np.zeros(self.spec.q**k, dtype=np.int8)
         for d in divisors(k):
             irr = powers = self.irr_codes[d]
             for deg in range(d, k, d):
-                powers = product(powers, deg, irr, d)
+                powers = self.product(powers, deg, irr, d)
             lam[powers] = d
         self._lambda[k] = lam
         return lam
@@ -326,13 +316,11 @@ class PolyTables:
         last part's products are counted per block chunk by chunk, never
         all held.
         """
-        product = _code_product(self.field)
-
         def times(codes, deg, first, d):  # chunks of codes[i] * irr_codes[d][j] over j >= first[i], and j
             irr = self.irr_codes[d]
             for i, offset in _pair_chunks(len(irr) - first):
                 j = first[i] + offset
-                yield product(codes[i], deg, irr[j], d), j
+                yield self.product(codes[i], deg, irr[j], d), j
 
         codes, last = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)  # the empty product 1
         deg, prev = 0, None

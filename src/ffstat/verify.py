@@ -357,13 +357,11 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
 
         pt = tables.poly_tables(spec, k, opts.budget)
         is_lam = pt.types[k] == pt.pid_of(lam)
-        # one identity row per code digit of the residue f, so f varies fastest
-        f_rows = [[int(s == t) for t in range(k * spec.nu)] for s in range(delta * spec.nu)]
 
         def class_counts(d_poly):
             # from D*t^(m+1), f + D*(t^(m+1) + h) over f and deg h <= m lists every monic of degree k once
             top = pr.poly_mul(d_poly, pr.monomial(spec, m + 1))
-            codes = tables.member_codes(pt.field, top.ci, f_rows + tables.multiplier_rows(pt.field, d_poly.ci, m, k))
+            codes = tables.member_codes(pt, top.ci, d_poly.ci, m, delta)
             return is_lam[codes].reshape(-1, q**delta).sum(axis=0).tolist()
 
     pi_lam = exact_type_count(q, k, lam)

@@ -1,4 +1,4 @@
-"""The module graph runs one way, numpy loads only where type tables are built or read,
+"""The module graph runs one way and `tables` skips `polyring`, numpy loads only where type tables are built or read,
 a command that builds them runs one OS thread and no module calls BLAS, no command loads
 `dataclasses` or `inspect`, the command line loads `statistics` and `verify` only for the
 subcommands that run them, and the names the bench tracer and the route calibration reach
@@ -22,6 +22,8 @@ SRC = ROOT / "src"
 ORDER = {"gf": 0, "combinatorics": 0, "polyring": 1, "tables": 2, "statistics": 3, "verify": 4, "cli": 5}
 # earlier modules that a module may import only inside the functions that use them
 DEFERRED = {"cli": {"statistics", "verify"}}
+# earlier modules that a module imports nowhere: `tables` works on codes and their base-q digits alone
+SKIPPED = {"tables": {"polyring"}}
 
 
 def _module_level_imports(tree):
@@ -59,6 +61,15 @@ def test_module_level_imports_follow_the_layer_order():
                 if top == "ffstat" and dep in ORDER:
                     assert dep != name and ORDER[dep] <= ORDER.get(name, -1), f"{name} imports the later module {dep}"
                     assert dep not in DEFERRED.get(name, ()), f"{name} imports {dep} at module level"
+
+
+def test_skipped_layers_are_imported_nowhere():
+    for name, skipped in SKIPPED.items():
+        for node in ast.walk(ast.parse((SRC / "ffstat" / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for target in _imported_modules(node):
+                    top, _, sub = target.partition(".")
+                    assert not (top == "ffstat" and sub.split(".")[0] in skipped), f"{name} imports {target}"
 
 
 def test_no_module_imports_dataclasses():

@@ -176,9 +176,53 @@ def test_type_block_counts_match_full_tables(chunk, monkeypatch):
 
 
 def test_member_codes_checks_degrees(F3):
-    ft = gf.field_table(F3)
+    pt = tables.poly_tables(F3, 3)
     with pytest.raises(ValueError):
-        tables.multiplier_rows(ft, (1, 1), 2, 3)  # deg g + m = 3 is not below 3
-    rows = tables.multiplier_rows(ft, (1, 1), 1, 3)
-    with pytest.raises(ValueError):
-        tables.member_codes(ft, (0, 0, 0, 0, 1), rows)  # rows for degree 3, f of degree 4
+        tables.member_codes(pt, (0, 0, 0, 1), (1, 1), 2)  # deg g + m = 3 is not below deg f = 3
+
+
+@pytest.mark.parametrize("p,nu", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1)])
+def test_member_codes_match_polynomial_arithmetic(p, nu):
+    # every h of degree <= m, and every r of degree < lead, against the code of f + r + g*h built by
+    # polynomial arithmetic: seeded g of every degree below deg f, monic and (where q > 2) not, among them
+    # g with zero coefficients, each with every m up to deg f - deg g - 1 and lead 0, 1 and deg g
+    spec = gf.make_field(p, nu)
+    q = spec.q
+    k = max(d for d in range(2, 7) if q**d <= 729)
+    pt = tables.poly_tables(spec, k)
+    rng = random.Random(20134 + q)
+    f = pr.monic_from_code(spec, k, rng.randrange(q**k))
+    for dg in range(k):
+        for top in sorted({1, q - 1, rng.randrange(1, q)}):  # g's leading coefficient: 1 is monic
+            g = pr.poly_from_indices(spec, [rng.randrange(q) for _ in range(dg)] + [top])
+            for m in range(k - dg):
+                for lead in sorted({0, 1, dg}):
+                    hs = [pr.poly_from_indices(spec, pr.code_to_coeffs(code, m + 1, q)[:-1]) for code in range(q ** (m + 1))]
+                    rs = [pr.poly_from_indices(spec, pr.code_to_coeffs(code, lead, q)[:-1]) for code in range(q**lead)]
+                    want = [pr.monic_code(pr.poly_add(pr.poly_add(f, r), pr.poly_mul(g, h))) for h in hs for r in rs]
+                    got = tables.member_codes(pt, f.ci, g.ci, m, lead)
+                    assert got.dtype == np.int64 and got.tolist() == want, (q, g.ci, m, lead)
+
+
+class _NoFieldLists:
+    """A stand-in for a `FieldTable` whose every read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"field.{name} read after the tables were built")
+
+
+@pytest.mark.parametrize("p,nu", [(2, 1), (3, 1), (2, 2)])
+def test_kernels_read_the_tables_own_field_arrays(p, nu, monkeypatch):
+    # lambda tables, typed block counts and listings come from the int32 add/mul arrays built with the
+    # tables, not from the field's lists, which are converted once per table, not once per call
+    spec = gf.make_field(p, nu)
+    k, q = 5, spec.q
+    ref, pt = tables.PolyTables(spec, k), tables.PolyTables(spec, k)
+    monkeypatch.setattr(pt, "field", _NoFieldLists())
+    f, g = pr.monic_from_code(spec, k, q**k - 2), pr.monic_from_code(spec, 2, 1)
+    for d in range(1, k + 1):
+        assert np.array_equal(pt.lambda_table(d), ref.lambda_table(d)), (q, d)
+    for lam in partitions_of(k):
+        assert np.array_equal(pt.type_block_counts(lam, q**2), ref.type_block_counts(lam, q**2)), (q, str(lam))
+    got = tables.member_codes(pt, f.ci, g.ci, 2, 2)
+    assert np.array_equal(got, tables.member_codes(ref, f.ci, g.ci, 2, 2)), q
