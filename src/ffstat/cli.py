@@ -222,6 +222,15 @@ def cmd_totient(args):
     return spec, params, (0, 0), lambda: (st.poly_totient(d_poly), None, 0)
 
 
+def _interval_work(spec: FieldSpec, k: int, m: int, lams, members: int, budget: int = DEFAULT_BUDGET) -> int:
+    """The work of counting `lams` over `members` members of intervals I(f; m) of degree k, on the route taken:
+    the pair products of its ring of principal units, else the members."""
+    from ffstat import statistics as st
+
+    route, products = st.interval_route(spec, k, m, lams, members, budget)
+    return products if route == "ring" else members
+
+
 def cmd_interval(args):
     from ffstat import statistics as st
 
@@ -236,7 +245,8 @@ def cmd_interval(args):
     params = {"f": pr.poly_text(f), "m": args.m}
     if lam is not None:
         params["lambda"] = str(lam)
-    return spec, params, (1, interval.size), lambda: (_census_result(st.interval_counts(interval), lam), None, 0)
+    work = _interval_work(spec, interval.k, args.m, partitions_of(interval.k), interval.size)
+    return spec, params, (1, work), lambda: (_census_result(st.interval_counts(interval), lam), None, 0)
 
 
 def cmd_progression(args):
@@ -266,7 +276,7 @@ def cmd_nu(args):
     k = f.degree
     _require(k >= 2, f"--f {params['f']} has degree {k}, which must be >= 2")
     _require(1 <= args.m < k, f"m = {args.m} out of range 1..{k - 1}")
-    enumeration = spec.q ** (args.m + 1)
+    enumeration = _interval_work(spec, k, args.m, [Partition((k,))], spec.q ** (args.m + 1))
     if args.decompose:
         enumeration += sum(spec.q ** (k // d) for d in divisors(k) if d > 1)
 
@@ -314,7 +324,8 @@ def cmd_mean_variance(args):
         mean, var = st.mean_variance_nu(spec, args.k, args.m, args.budget)
         return {"mean": frac_str(mean), "variance": frac_str(var)}, None, 0
 
-    return spec, params, (spec.q ** (args.k - args.m - 1), spec.q**args.k), run
+    work = _interval_work(spec, args.k, args.m, [Partition((args.k,))], spec.q**args.k, args.budget)
+    return spec, params, (spec.q ** (args.k - args.m - 1), work), run
 
 
 def cmd_variance_trend(args):
@@ -325,10 +336,10 @@ def cmd_variance_trend(args):
     _require(args.k >= 5, f"--k {args.k} must be >= 5")
     _require(bool(q_list), f"--q-list {args.q_list!r} names no prime power")
     _require(1 <= args.m < args.k - 3, f"m = {args.m} outside the valid range 1 <= m < k - 3 = {args.k - 3}")
-    for q in q_list:
-        gf.make_field(*gf.prime_power(q))
+    specs = [gf.make_field(*gf.prime_power(q)) for q in q_list]
     cells = sum(q ** (args.k - args.m - 1) for q in q_list)
-    enumeration = sum(q**args.k for q in q_list)
+    enumeration = sum(_interval_work(spec, args.k, args.m, [Partition((args.k,))], spec.q**args.k, args.budget)
+                      for spec in specs)
 
     def run():
         report = verify.variance_trend(args.k, args.m, q_list, args.budget)
@@ -361,7 +372,8 @@ def cmd_scan_intervals(args):
         budget=args.budget,
         per_cell=args.per_cell or args.fmt == "csv",
     )
-    projection = (spec.q ** (args.k - args.m - 1), spec.q**args.k)
+    work = _interval_work(spec, args.k, args.m, [lam], spec.q**args.k, args.budget)
+    projection = (spec.q ** (args.k - args.m - 1), work)
     return spec, params, projection, lambda: _scan_result(args, verify.scan_intervals(spec, args.k, args.m, lam, opts))
 
 

@@ -11,7 +11,13 @@ each member, built by polynomial arithmetic, with `polyring`.  A residue
 class has a third route that lists no members: `ResidueRing` counts
 every class mod D at once in the monoid ring Z[F_q[t]/D], from the zeta
 function of F_q[t], at a cost set by deg D rather than by the
-q^(k - deg D) members.
+q^(k - deg D) members.  An interval I(f; m) takes the same route in the
+ring of the principal units mod t^(k - m) (`ResidueRing.principal_units`):
+the reversal g -> t^k g(1/t) sends its members with nonzero constant term
+to one class there, and those exactly divisible by t^j, j <= m, to the
+same class at degree k - j, so one ring and one psi vector count every
+interval of degree k at once; the one member t^(m+1) F with no such
+image is factored alone.
 
 Prime counts of an interval alone, for the nu decomposition and the
 counterexamples of `verify`, take no route: `interval_prime_count`
@@ -23,22 +29,28 @@ One rule, `census_route`, picks the route of every census from costs
 estimated in microseconds: the ring when it is priced no dearer than the
 other two, whatever tables are built; else tables already built; else
 new tables when importing numpy and sieving them is estimated to cost no
-more than factoring every member; else factoring.  The censuses of all
-q^k monic polynomials of degree k, summed per interval by `block_sums`
-for `mean_variance_nu` and `verify.scan_intervals`, and the progression
-scans of `verify` take the same rule; on the table route an interval
-scan without tables built to degree k counts only the members of its
-type, from tables up to the type's largest part.  The three routes give the same
-counts and are cross-checked in the tests.  `tables`, and with it numpy,
-is imported only once the rule has picked the table route, so totients,
-radical sets, the nu decomposition, every ring census and every census
-that factors never load it.
+more than factoring every member; else factoring.  Interval censuses ask
+it through `interval_route`, which prices their ring; for them tables
+already built come first, since they read an interval as a slice.  The
+censuses of
+all q^k monic polynomials of degree k, summed per interval by
+`block_sums` for `mean_variance_nu` and `verify.scan_intervals`, and the
+progression scans of `verify` take the same rule; on the table route an
+interval scan without tables built to degree k counts only the members
+of its type, from tables up to the type's largest part.  The three
+routes give the same counts and are cross-checked in the tests.
+`tables`, and with it numpy, is imported only once the rule has picked
+the table route, so totients, radical sets, the nu decomposition, every
+ring census and every census that factors never load it: an interval
+census loads numpy only when its ring mod t^(k - m) is priced dearer
+than tables, that is when k - m is large and so are the members.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 
@@ -169,19 +181,30 @@ FACTOR_US_PER_MEMBER = 220
 # 151-293 us a member in the same run), and 0.032-0.152, median 0.095.
 # The constant is the first median, rounded.  Sparse vectors (the Z_i,
 # psi_n of small n) make a real convolution cheaper than its q^(2 delta),
-# so large moduli sit at the low end.
+# so large moduli sit at the low end.  The ring of principal units, which
+# counts intervals, is priced with the same constant.  Its points in a
+# later run, on the same 2-core machine and versions at about twice the
+# speed (start-up 51 ms, the ring points above 0.022-0.074 us, median
+# 0.062): at (q, delta, k) = (2, 8, 10), prime and 1^k, (5, 4, 5),
+# (7, 4, 5) and (3, 4, 20), 0.012-0.030 us a projected pair product,
+# median 0.016, for the ring and `interval_type_counts`.  Its tail sums are
+# scalar and its vectors sparse, so the constant over-prices it: the rule
+# keeps it for intervals where it is cheap by a wide margin.
 RING_US_PER_PRODUCT = 0.12
 
 
 def census_route(spec: FieldSpec, k: int, members: int | None = None, products: int | None = None,
-                 budget: int = DEFAULT_BUDGET) -> str:
+                 budget: int = DEFAULT_BUDGET, interval: bool = False) -> str:
     """The route of a census of monic degree-k polynomials: "ring", "tables" or "factor".
 
     `members` is how many a census would factor, None for a progression
     scan, which never factors; `products` is the ring pair products
-    (`ring_products`) where the residue ring can count the census, else
-    None.  The first that holds:
+    (`ring_products`, for intervals `interval_route`) where a residue ring
+    can count the census, else None; `interval` says the members are
+    intervals, blocks of consecutive codes.  The first that holds:
 
+    - "tables" for intervals when tables covering degree k are already
+      built: they read each interval as a slice, for less than any ring;
     - "ring" when RING_US_PER_PRODUCT * products costs no more than
       building tables for degree k, nor than factoring `members`;
     - "tables" when tables covering degree k are already built;
@@ -201,33 +224,43 @@ def census_route(spec: FieldSpec, k: int, members: int | None = None, products: 
     def table_us() -> float:  # import numpy and `tables`, then sieve every code of degree 1..k
         return TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
 
+    def built() -> bool:  # no tables exist before the module is imported
+        tables = sys.modules.get("ffstat.tables")
+        return tables is not None and tables.cached_poly_tables(spec, k) is not None
+
+    if interval and built():
+        return "tables"
     ring_us = None if products is None else RING_US_PER_PRODUCT * products
     if ring_us is not None and ring_us <= table_us() and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
         return "ring"
-    tables = sys.modules.get("ffstat.tables")  # no tables exist before the module is imported
-    if tables is not None and tables.cached_poly_tables(spec, k) is not None:
+    if built():
         return "tables"
     if members is None or (spec.q**k <= budget and table_us() <= FACTOR_US_PER_MEMBER * members):
         return "tables"
     return "factor"
 
 
-def block_sums(spec: FieldSpec, k: int, block: int, budget: int, value, table_sums) -> list[int]:
-    """Sums of `value(g)` over each run of `block` consecutive codes of the monic degree-k g.
+def block_sums(spec: FieldSpec, k: int, m: int, route: str, value, ring_vector, table_sums) -> list[int]:
+    """Per-interval sums over the monic degree-k g, one for each I(f; m) in base-code order, on `route`.
 
-    A census of all q^k members, by the route `census_route` picks:
-    `table_sums(tables)` is handed the `tables` module, builds or reads
-    the type tables it needs and returns the sums as an array, or else
-    `value` is called on every member in code order.
-    `block` divides q^k, and the caller has checked q^k against `budget`.
+    On "ring", `ring_vector(ring)` is handed `ResidueRing.principal_units(spec,
+    k - m)` and returns a vector over its classes, read at each interval's
+    class.  On "tables", `table_sums(tables)` is handed the `tables`
+    module, builds or reads the type tables it needs and returns the sums
+    as an array.  Otherwise `value(g)` is summed over every member in code
+    order.  The caller has picked the route (`interval_route`) and checked
+    its budget.
     """
-    qk = spec.q**k
-    if census_route(spec, k, qk, budget=budget) == "tables":
+    if route == "ring":
+        vec = ring_vector(ResidueRing.principal_units(spec, k - m))
+        return [vec[code] for code in _unit_codes(spec.q, k - m)]
+    if route == "tables":
         from ffstat import tables
 
         return table_sums(tables).tolist()
+    block = spec.q ** (m + 1)
     values = map(value, pr.all_monic(spec, k))
-    return [sum(islice(values, block)) for _ in range(qk // block)]
+    return [sum(islice(values, block)) for _ in range(spec.q**k // block)]
 
 
 def _specializations(f: Poly, g: Poly, m: int, route: str):
@@ -275,19 +308,21 @@ def _census(f: Poly, g: Poly, m: int, route: str) -> TypeCensus:
 # The residue ring
 # ---------------------------------------------------------------------------
 
-def ring_products(q: int, delta: int, lams) -> int:
+def ring_products(q: int, delta: int, lams, size: int | None = None) -> int:
     """Pair products of `ResidueRing.type_counts` for these partitions, modulus degree delta.
 
-    The table takes q^(2 delta) and so does each convolution: for n up to
-    the largest part, psi_n takes one with the tail sum when n > delta and
-    one with each Z_i, 0 < i < delta, that its recurrence reads; H_{d,m}
-    takes m - 1; and each partition one per part size after its first.
+    The table takes size^2, size = q^delta unless given (the principal
+    units mod t^delta have q^(delta - 1) elements), and so does each
+    convolution: for n up to the largest part, psi_n takes one with the
+    tail sum when n > delta and one with each Z_i, 0 < i < delta, that its
+    recurrence reads; H_{d,m} takes m - 1; and each partition one per part
+    size after its first.
     """
     mults, top = _part_sizes(lams)
     convolutions = sum((n > delta) + min(n - 1, delta - 1) for n in range(1, max(top) + 1))
     convolutions += sum(m * (m - 1) // 2 for m in top.values())
     convolutions += sum(len(mult) - 1 for mult in mults.values())
-    return q ** (2 * delta) * (1 + convolutions)
+    return (q**delta if size is None else size) ** 2 * (1 + convolutions)
 
 
 def _part_sizes(lams) -> tuple[dict[Partition, dict[int, int]], dict[int, int]]:
@@ -321,16 +356,51 @@ class ResidueRing:
     identity gives the multisets of primes of one degree, hence each
     factorization type per class (Rosen, Number Theory in Function
     Fields, ch. 4).
+
+    `principal_units` builds the same ring for the group U1 of the
+    principal units mod t^delta, which counts intervals (see there).
     """
 
     def __init__(self, d_poly: Poly):
         if not d_poly.is_monic or d_poly.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         spec = d_poly.spec
-        self.q = spec.q
-        self.delta = d_poly.degree
-        self.size = spec.q**self.delta
-        self.rows = _ring_rows(gf.field_table(spec), d_poly.ci)
+        q, delta = spec.q, d_poly.degree
+        zeta = []
+        for n in range(delta):  # the monic residues of degree n have codes q^n .. 2 q^n - 1
+            z = [0] * q**delta
+            z[q**n : 2 * q**n] = [1] * q**n
+            zeta.append(z)
+        self._setup(q, delta, _ring_rows(gf.field_table(spec), d_poly.ci), zeta + [[1] * q**delta], 1, False)
+
+    @classmethod
+    def principal_units(cls, spec: FieldSpec, delta: int) -> ResidueRing:
+        """Z[U1] for U1 = 1 + t F_q[t] mod t^delta, delta >= 1, the ring of the intervals I(f; k - delta).
+
+        The unit 1 + t a, deg a < delta - 1, has code `residue_code(a)`, so
+        1 has code 0.  Z(u) sums the polynomials with constant term 1:
+        Z_0 is the class of 1, Z_n for 0 < n < delta the codes
+        q^(n-1) .. q^n - 1 once each, and Z_n for n >= delta (q - 1)
+        q^(n - delta) in every class.  U1 is a group, so a product with
+        that constant vector is a scalar sum.  The reversal g -> t^deg g
+        g(1/t) maps the polynomials with nonzero constant term and leading
+        coefficient 1 onto those with constant term 1, keeping degree,
+        Lambda and the factorization type (Keating-Rudnick, IMRN 2014).
+        """
+        q, size = spec.q, spec.q ** (delta - 1)
+        zeta = [[0] * size for _ in range(delta)]
+        zeta[0][0] = 1
+        for n in range(1, delta):
+            zeta[n][q ** (n - 1) : q**n] = [1] * (q**n - q ** (n - 1))
+        ring = cls.__new__(cls)
+        d_ci = (0,) * (delta - 1) + (1,)  # digits of a mod t^(delta - 1)
+        ring._setup(q, delta, _ring_rows(gf.field_table(spec), d_ci, units=True), zeta + [[q - 1] * size], 0, True)
+        return ring
+
+    def _setup(self, q: int, delta: int, rows: list[list[int]], zeta: list[list[int]], one: int, group: bool):
+        """`zeta` holds Z_0 .. Z_delta, with Z_n = q^(n - delta) Z_delta for n >= delta; `one` is the code of 1."""
+        self.q, self.delta, self.size = q, delta, len(rows)
+        self.rows, self.zeta, self.one, self.group = rows, zeta, one, group
         self._powers = [list(range(self.size))]  # _powers[e - 1][r] = the code of r^e
 
     def conv(self, a: list[int], b: list[int]) -> list[int]:
@@ -356,34 +426,34 @@ class ResidueRing:
     def psi(self, top: int) -> list[list[int]]:
         """[None, psi_1, ..., psi_top] from n Z_n = sum_{j=1..n} Z_{n-j} psi_j.
 
-        The terms with n - j >= delta sum to (all residues) * W_n with
-        W_n = q W_(n-1) + psi_(n-delta), one convolution; the others read
-        the sparse Z_i, 0 < i < delta.
+        The terms with n - j >= delta sum to Z_delta * W_n with
+        W_n = q W_(n-1) + psi_(n-delta), one convolution, or on a group a
+        scalar sum; the others read the sparse Z_i, 0 < i < delta.
         """
-        q, delta, size = self.q, self.delta, self.size
-        zeta = []
-        for n in range(delta):  # the monic residues of degree n have codes q^n .. 2 q^n - 1
-            z = [0] * size
-            z[q**n : 2 * q**n] = [1] * q**n
-            zeta.append(z)
-        everything = [1] * size
-        tail = [0] * size
+        q, delta, zeta = self.q, self.delta, self.zeta
+        tail = [0] * self.size
         psi: list = [None]
         for n in range(1, top + 1):
-            acc = [n * x for x in zeta[n]] if n < delta else [n * q ** (n - delta)] * size
+            acc = [n * x for x in zeta[n]] if n < delta else [n * q ** (n - delta) * x for x in zeta[delta]]
             if n > delta:
                 tail = [q * w + x for w, x in zip(tail, psi[n - delta])]
-                acc = [x - y for x, y in zip(acc, self.conv(tail, everything))]
+                if self.group:  # Z_delta is constant, and so is its product with anything
+                    scalar = zeta[delta][0] * sum(tail)
+                    acc = [x - scalar for x in acc]
+                else:
+                    acc = [x - y for x, y in zip(acc, self.conv(tail, zeta[delta]))]
             for j in range(max(1, n - delta + 1), n):
                 acc = [x - y for x, y in zip(acc, self.conv(psi[j], zeta[n - j]))]
             psi.append(acc)
         return psi
 
     def type_counts(self, k: int, lams) -> dict[Partition, list[int]]:
-        """For each partition lam of k, the monic degree-k g of type lam counted per class of g mod D.
+        """For each partition lam, the monic g of type lam counted per class of g mod D.
 
-        psi_n, the primes of each degree and the multisets H_{d,m} are
-        computed once and shared by every lam.
+        The g have degree lam.k, which may differ between lams (k is not
+        read), and on `principal_units` constant term 1 instead of leading
+        coefficient 1.  psi_n, the primes of each degree and the multisets
+        H_{d,m} are computed once and shared by every lam.
         """
         mults, top = _part_sizes(lams)
         psi = self.psi(max(top))
@@ -409,7 +479,7 @@ class ResidueRing:
         """
         power_sums = [None] + [self.push(primes, j) for j in range(1, top + 1)]
         one = [0] * self.size
-        one[1] = 1
+        one[self.one] = 1
         out = [one]
         for m in range(1, top + 1):
             acc = power_sums[m]  # the j = m term, p_m H_0
@@ -419,12 +489,15 @@ class ResidueRing:
         return out
 
 
-def _ring_rows(ft: gf.FieldTable, d_ci) -> list[list[int]]:
+def _ring_rows(ft: gf.FieldTable, d_ci, units: bool = False) -> list[list[int]]:
     """rows[a][b] = the code of a*b mod D, for residue codes a, b < q^delta.
 
     Row a lists the products a * (sum_j b_j t^j) in b-code order, one
     output digit at a time: each digit list grows by a factor q per b_j,
-    adding b_j times digit i of a t^j mod D.
+    adding b_j times digit i of a t^j mod D.  With `units` it lists
+    a + (1 + t a) b instead, the product (1 + t a)(1 + t b) = 1 + t(a +
+    (1 + t a) b) of two principal units mod t D: the same lockstep, its
+    digits started at a's and its multiplier 1 + t a.
     """
     q, delta = ft.q, len(d_ci) - 1
     add_rows = [ft.add[s * q : (s + 1) * q] for s in range(q)]  # add_rows[s][x] = x + s
@@ -434,19 +507,93 @@ def _ring_rows(ft: gf.FieldTable, d_ci) -> list[list[int]]:
     for a in range(q**delta):
         u = list(pr.code_to_coeffs(a, delta, q)[:-1])  # a t^j mod D, starting at j = 0
         digits = [[0] for _ in range(delta)]
+        if units:
+            digits = [[x] for x in u]
+            u = ([1] + u)[:delta]
         for _ in range(delta):
             for i in range(delta):
+                if not u[i]:  # adds nothing: q copies
+                    digits[i] *= q
+                    continue
                 scaled = [add_rows[row[u[i]]] for row in mul_rows]  # x -> x + b_j u_i, b_j = 0 .. q-1
                 digits[i] = [shift[x] for shift in scaled for x in digits[i]]
             top = u[-1]
             u = [0] + u[:-1]
             if top:
                 u = [add_rows[row[top]][x] for x, row in zip(u, reduce_rows)]
-        code = digits[-1]
+        code = digits[-1] if digits else [0]  # the one unit mod t
         for column in reversed(digits[:-1]):
             code = [c * q + x for c, x in zip(code, column)]
         rows.append(code)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Intervals in the ring of principal units
+# ---------------------------------------------------------------------------
+
+def _levels(lam: Partition, m: int) -> list[Partition]:
+    """lam less j of its parts equal to 1, for j = 0, 1, ... up to m while it has them.
+
+    A member g of I(f; m) with t^j || g, j <= m, is t^j g'' with g'' of
+    type lam less 1^j, and its reversal is that of g'': a polynomial of
+    degree k - j with constant term 1 in the class of f's reversed top.
+    """
+    parts, out = lam.parts, [lam]
+    for j in range(1, m + 1):
+        if len(parts) <= j or parts[-j] != 1:
+            break
+        out.append(Partition(parts[:-j]))
+    return out
+
+
+def interval_route(spec: FieldSpec, k: int, m: int, lams, members: int, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
+    """The `census_route` of counting the types `lams` over `members` members of intervals I(f; m) of degree k.
+
+    Also returns the pair products of the ring, `principal_units(spec,
+    k - m)`, for those types at every level of `_levels`.
+    """
+    products = _unit_products(spec.q, k - m, m, tuple(lams))
+    return census_route(spec, k, members, products, budget, interval=True), products
+
+
+@lru_cache(maxsize=None)
+def _unit_products(q: int, delta: int, m: int, lams: tuple[Partition, ...]) -> int:
+    """`interval_route`'s pair products, kept: a session prices the same census for each of its intervals."""
+    levels = {mu for lam in lams for mu in _levels(lam, m)}
+    return ring_products(q, delta, levels, size=q ** (delta - 1))
+
+
+def _unit_code(f: Poly, m: int) -> int:
+    """The code in U1 mod t^(k - m) of F* for the top t^(m+1) F of f: F's low coefficients, read from the top down."""
+    code = 0
+    for x in f.ci[m + 1 : -1]:
+        code = code * f.spec.q + x
+    return code
+
+
+def _unit_codes(q: int, delta: int) -> list[int]:
+    """`_unit_code` of every interval I(f; k - delta) of degree k, in base-code order: its delta - 1 digits reversed."""
+    codes = [0]
+    for i in range(delta - 1):  # base b + x q^i, b < q^i, reverses to rev(b) + x q^(delta - 2 - i)
+        codes = [c + x * q ** (delta - 2 - i) for x in range(q) for c in codes]
+    return codes
+
+
+def lone_type(top: Poly, m: int) -> Partition:
+    """The type of t^(m+1) top, the one member of an interval whose reversal has degree below k - m."""
+    ones = (1,) * (m + 1)
+    return Partition(pr.factorization_type(top).parts + ones if top.degree else ones)
+
+
+def interval_type_counts(ring: ResidueRing, lams, m: int) -> dict[Partition, list[int]]:
+    """For each lam, the members of type lam of I(f; m) other than t^(m+1) F, per U1 class of F*.
+
+    The sum over the levels of `_levels`, all read from one `type_counts`.
+    """
+    levels = {lam: _levels(lam, m) for lam in lams}
+    counts = ring.type_counts(max(lam.k for lam in lams), {mu for mus in levels.values() for mu in mus})
+    return {lam: [sum(column) for column in zip(*(counts[mu] for mu in mus))] for lam, mus in levels.items()}
 
 
 def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
@@ -477,8 +624,22 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
 
 
 def interval_counts(interval: IntervalSpec) -> TypeCensus:
-    """Census over a short interval; the entry at (k) is the prime count."""
-    return specialization_counts(interval.f, pr.one_poly(interval.spec), interval.m)
+    """Census over a short interval; the entry at (k) is the prime count.
+
+    On the ring route every type is read at the interval's class in
+    `principal_units(spec, k - m)`, and t^(m+1) F is factored alone.
+    """
+    spec, k, m = interval.spec, interval.k, interval.m
+    parts = partitions_of(k)
+    route, _ = interval_route(spec, k, m, parts, interval.size)
+    if route != "ring":
+        return _census(interval.f, pr.one_poly(spec), m, route)
+    code = _unit_code(interval.f, m)
+    vectors = interval_type_counts(ResidueRing.principal_units(spec, k - m), parts, m)
+    counts = {lam: vec[code] for lam, vec in vectors.items()}
+    lone = lone_type(Poly(spec, interval.f.ci[m + 1 :]), m)
+    counts[lone] += 1
+    return TypeCensus(k, {lam: n for lam, n in counts.items() if n})
 
 
 def interval_prime_count(interval: IntervalSpec) -> int:
@@ -569,13 +730,22 @@ def von_mangoldt(g: Poly) -> int:
 
 
 def nu(f: Poly, m: int) -> int:
-    """Sum of the von Mangoldt function over interval members with nonzero constant term."""
+    """Sum of the von Mangoldt function over interval members with nonzero constant term.
+
+    On the ring route it is psi_k at the interval's class in
+    `principal_units(spec, k - m)`, which leaves out the members with zero
+    constant term by construction.
+    """
     check_center(f)
     k = f.degree
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    size = f.spec.q ** (m + 1)
-    pt, members = _specializations(f, pr.one_poly(f.spec), m, census_route(f.spec, k, size))
+    spec = f.spec
+    size = spec.q ** (m + 1)
+    route, _ = interval_route(spec, k, m, [Partition((k,))], size)
+    if route == "ring":
+        return ResidueRing.principal_units(spec, k - m).psi(k)[k][_unit_code(f, m)]
+    pt, members = _specializations(f, pr.one_poly(spec), m, route)
     total = sum(map(von_mangoldt, members)) if pt is None else int(pt.lambda_table(k)[members].sum())
     # the only prime power with zero constant term is t^k (code 0, Lambda = 1), a member when f's code is below size
     return total - (pr.monic_code(f) < size)
@@ -586,20 +756,25 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
 
     One pass over M(k, q): members of a common interval share their nu
     value, so the q^k centers reduce to q^{k-m-1} interval sums each
-    weighted by q^{m+1}.
+    weighted by q^{m+1}.  On the ring route `budget` bounds the ring's
+    pair products, and otherwise q^k.
     """
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
-    if spec.q**k > budget:
-        raise BudgetError(f"q^k = {spec.q**k} exceeds the enumeration budget {budget}")
+    qk = spec.q**k
+    route, products = interval_route(spec, k, m, [Partition((k,))], qk, budget)
+    if route == "ring" and products > budget:
+        raise BudgetError(f"{products} ring pair products exceed the budget {budget}")
+    if route != "ring" and qk > budget:
+        raise BudgetError(f"q^k = {qk} exceeds the enumeration budget {budget}")
     block = spec.q ** (m + 1)
-    sums = block_sums(spec, k, block, budget, von_mangoldt,
+    sums = block_sums(spec, k, m, route, von_mangoldt, lambda ring: ring.psi(k)[k],
                       lambda tables: tables.poly_tables(spec, k, budget).lambda_block_sums(k, block))
-    sums[0] -= 1  # t^k lies in the base-0 interval and is filtered out
+    if route != "ring":
+        sums[0] -= 1  # t^k lies in the base-0 interval and is filtered out
     n_blocks = len(sums)
     s1 = sum(sums)
     s2 = sum(s * s for s in sums)
-    qk = spec.q**k
     mean = Fraction(block * s1, qk)
     var = (Fraction(s2) - 2 * mean * s1 + n_blocks * mean * mean) * Fraction(block, qk)
     return mean, var

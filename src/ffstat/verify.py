@@ -11,8 +11,10 @@ Scans visit cells in order, so reports are deterministic, and run in
 the process's one OS thread (`tables` starts numpy's OpenBLAS with no
 worker threads); `ScanOptions.workers` is accepted and ignored.  Both
 scans take their route from `statistics.census_route`.  On the route
-it picks, an interval scan either factors all q^k monic polynomials of
-degree k, as a small one does, or counts from type tables: from tables
+it picks, an interval scan reads every cell from one vector of the ring
+of principal units mod t^(k - m) when that ring is priced cheapest, as it
+is when m is above about k/2 or q^k is small; else it factors all q^k
+monic polynomials of degree k, or counts from type tables: from tables
 already built to degree k when there are, and otherwise from tables up
 to its type's largest part, which list only the members of its type
 (`tables.PolyTables.type_block_counts`).  A progression scan never
@@ -24,8 +26,11 @@ counterexamples count the primes of I(t^k, 0) and I(t^k, 1) with
 `statistics.interval_prime_count`, which needs no Rabin test at m = 0,
 k <= 3 nor at m = 1, k <= 5.  `tables`, and
 with it numpy, is imported only inside the functions that build or read
-tables, so the hypothesis checks, the counterexamples, small interval
-scans and progression scans with small moduli never load it.  The
+tables, so the hypothesis checks, the counterexamples, interval scans
+and variance trends on the ring route and progression scans with small
+moduli never load it: an interval scan loads numpy only when the ring
+mod t^(k - m) is priced dearer than tables (`scan-intervals --p 2 --k 12
+--m 1` does, at --m 2 --k 10 it does not).  The
 command line imports this module only for the subcommands that run it.
 """
 
@@ -252,7 +257,9 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     cells are tallied per status, never merged into the covered figures.
     Coverage depends on the representative only for p = 2 and m = 2
     (p = 2 divides k(k-1), so m = 1 is always excluded and m >= 3 always
-    covered); every other scan classifies once, on code 0.
+    covered); every other scan classifies once, on code 0.  On the ring
+    route the counts come from `statistics.interval_type_counts`, and each
+    t^(m+1) F is factored, through F, only when lam has m + 1 parts 1.
     """
     opts = options or ScanOptions()
     if not 1 <= m < k:
@@ -260,7 +267,10 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     if lam.k != k:
         raise ValueError(f"{lam} is not a partition of {k}")
     q = spec.q
-    if q**k > opts.budget:
+    route, products = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
+    if route == "ring" and products > opts.budget:
+        raise BudgetError(f"{products} ring pair products exceed the budget {opts.budget}")
+    if route != "ring" and q**k > opts.budget:
         raise BudgetError(
             f"projected enumeration of {q}^{k} = {q**k} polynomials "
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
@@ -274,7 +284,10 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             return pt.block_counts(k, pt.pid_of(lam), block)
         return pt.type_block_counts(lam, block)
 
-    counts = st.block_sums(spec, k, block, opts.budget, lambda g: pr.factorization_type(g) == lam, table_counts)
+    counts = st.block_sums(spec, k, m, route, lambda g: pr.factorization_type(g) == lam,
+                           lambda ring: st.interval_type_counts(ring, [lam], m)[lam], table_counts)
+    if route == "ring" and lam.parts[-(m + 1) :] == (1,) * (m + 1):  # t^(m+1) F, counted apart, may have type lam
+        counts = [n + (st.lone_type(top, m) == lam) for n, top in zip(counts, pr.all_monic(spec, k - m - 1))]
     expected = cycle_type_probability(lam) * block
     num, den = expected.numerator, expected.denominator
     per_rep = spec.p == 2 and m == 2

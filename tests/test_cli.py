@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from ffstat import cli, statistics as st
+from ffstat import cli, gf, statistics as st, tables, verify
 from ffstat.cli import CSV_HEADER, main, parse_partition, parse_poly
 from ffstat.combinatorics import Partition, cycle_type_probability, exact_prime_count, frac_str, partitions_of
-from ffstat.gf import DEFAULT_BUDGET
+from ffstat.gf import DEFAULT_BUDGET, BudgetError
 
 
 def run(capsys, argv):
@@ -169,12 +170,38 @@ def test_progression_budget_prices_the_ring(capsys):
     assert run_json(capsys, argv)["result"]["count"] == 42_720
 
 
-def test_dry_run(capsys):
+def test_mean_variance_budget_prices_the_ring(capsys):
+    # degree 20 at m = 16 over F_3: 3^20 members, far over the default budget, but every interval is read from one
+    # ring of the 27 principal units mod t^4, whose psi_20 costs 51,759 pair products
+    argv = ["mean-variance", "--p", "3", "--k", "20", "--m", "16"]
+    route, products = st.interval_route(gf.make_field(3, 1), 20, 16, [Partition((20,))], 3**20)
+    assert route == "ring" and products == 51_759 < DEFAULT_BUDGET < 3**20
+    env = run_json(capsys, argv + ["--dry-run"])
+    assert env["result"] == {"projected_cells": 27, "projected_enumeration": products}
+    env = run_json(capsys, argv)
+    assert Fraction(env["result"]["mean"]) == Fraction(3**17 * (3**20 - 1), 3**20)
+    assert run_json(capsys, argv + ["--budget", str(products)])["result"] == env["result"]
+    code, out, err = run(capsys, argv + ["--budget", str(products - 1)])
+    assert code == 2 and out == "" and err.count("\n") == 1 and f"exceeds the budget {products - 1}" in err
+    # the library bounds the same work: the ring's pair products, for the nu sums and for a scan
+    with pytest.raises(BudgetError, match="ring pair products"):
+        st.mean_variance_nu(gf.make_field(3, 1), 20, 16, budget=products - 1)
+    scan_products = st.interval_route(gf.make_field(3, 1), 20, 16, [Partition((20,))], 3**20)[1]
+    with pytest.raises(BudgetError, match="ring pair products"):
+        verify.scan_intervals(gf.make_field(3, 1), 20, 16, Partition((20,)), verify.ScanOptions(budget=scan_products - 1))
+
+
+def test_dry_run(capsys, monkeypatch):
+    monkeypatch.setattr(tables, "_PT_CACHE", {})  # as in a fresh process: built tables would be read instead
     env = run_json(
         capsys,
         ["scan-intervals", "--p", "3", "--nu", "1", "--k", "4", "--m", "2", "--lambda", "4", "--dry-run"],
     )
-    assert env["result"] == {"projected_cells": 3, "projected_enumeration": 81}
+    # on the ring route the projection is the ring's pair products: the 3 principal units mod t^2, 3^2 * (1 + 5)
+    assert env["result"] == {"projected_cells": 3, "projected_enumeration": 54}
+    # on the table route it is the q^k members
+    env = run_json(capsys, ["scan-intervals", "--p", "2", "--k", "12", "--m", "1", "--lambda", "12", "--dry-run"])
+    assert env["result"] == {"projected_cells": 1024, "projected_enumeration": 4096}
     env = run_json(capsys, ["pi", "--p", "2", "--k", "3", "--dry-run"])
     assert "projected_cells" in env["result"]
     env = run_json(

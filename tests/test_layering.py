@@ -125,7 +125,7 @@ def test_light_commands_do_not_load_numpy():
         "hypotheses --p 3 --k 4 --m 2 --f 1 --D 0,1",
         "counterexample m0 --p 7 --k 3",
         "counterexample m1 --p 2 --n 1",
-        # censuses too small to repay the numpy start-up factor their members
+        # intervals are counted in the ring of principal units mod t^(k - m)
         "interval --p 2 --k 2 --m 1 --f 0,0,1",
         "nu --p 2 --f 1,0,1 --m 1",
         "nu --p 2 --nu 2 --f [1],[0],[0],[0],[0],[0],[1] --m 2 --decompose",
@@ -134,12 +134,14 @@ def test_light_commands_do_not_load_numpy():
         "progression --p 3 --k 9 --D 2,0,1 --f 1",
         "scan-progressions --p 3 --k 5 --m 2 --lambda 5",
         "scan-progressions --p 5 --k 6 --m 3 --lambda 6",
-        # whole-degree censuses of 81 and 32 + 243 members factor them too
+        # every interval of degree k at once, from one ring of principal units, however many members
         "mean-variance --p 3 --k 4 --m 1",
         "variance-trend --k 5 --m 1 --q-list 2,3",
         "scan-intervals --p 3 --k 4 --m 2 --lambda 4",
+        "interval --p 5 --k 5 --m 4 --f 1,2,3,4,0,1",
+        "scan-intervals --p 2 --k 10 --m 2 --lambda 5+3+2",
     ]
-    control = "interval --p 5 --k 5 --m 4 --f 1,2,3,4,0,1"  # 3,125 members: the census builds and reads type tables
+    control = "scan-intervals --p 2 --k 12 --m 1 --lambda 12"  # 4,096 members: the scan builds and reads type tables
     argvs = [line.split() for line in light + [control]]
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(

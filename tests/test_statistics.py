@@ -287,11 +287,13 @@ def _record_rings(monkeypatch):
 
 def test_census_route_rule(monkeypatch):
     # each census, from an empty table cache, takes the route the rule names; once tables for its degree are
-    # built, a census that factored reads them, and a ring census stays on the ring
+    # built, a census that factored reads them, and so does an interval census that took its ring, while a
+    # residue class stays on its ring
     monkeypatch.setattr(tables, "_PT_CACHE", {})
-    F2, F3, F5 = (gf.make_field(p, 1) for p in (2, 3, 5))
+    F2, F3, F4, F5 = (gf.make_field(*gf.prime_power(q)) for q in (2, 3, 4, 5))
     t2 = pr.monomial(F2, 1)
     f8 = P(F3, 2, 1, 0, 2, 1, 1, 0, 1, 1)
+    f9 = P(F4, 1, 2, 3, 0, 1, 2, 3, 0, 2, 1)
     prog3 = _progression(F3, (1, 1), (2,), 3)
     prog8 = _progression(F3, (1, 0, 1), (0, 1), 8)
     prog5 = _progression(F3, (1, 0, 1), (0, 1), 5)
@@ -299,53 +301,79 @@ def test_census_route_rule(monkeypatch):
     prog17 = _progression(F2, (1, 1, 0, 0, 0, 0, 0, 1), (1,), 17)  # deg D = 7: 1,024 members
     cases = [
         # (field, k, census, oracle, route).  Tables are built when the estimate in microseconds
-        # 110,000 + 0.25 * (q + ... + q^k) is at most 220 * members; a residue class is counted in the ring
-        # when 0.12 us a pair product (statistics.ring_products) costs no more than either.  The first
-        # interval and nu rows sieve at most 8 codes a member but are too small to repay the start-up;
-        # the middle ones sieve 13.5 and repay it.
+        # 110,000 + 0.25 * (q + ... + q^k) is at most 220 * members; a residue class is counted in its ring, and
+        # an interval I(f; m) in the ring of principal units mod t^(k - m), when 0.12 us a pair product
+        # (statistics.ring_products) costs no more than either.
         (F5, 3, lambda: st.interval_counts(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), "factor"),  # 110,038.75 > 220 * 125
+         lambda: direct_interval_census(st.IntervalSpec(P(F5, 1, 2, 3, 1), 2)), "ring"),  # mod t: 7 pair products
         (F3, 3, lambda: st.progression_counts(prog3).counts,
          lambda: direct_progression_census(prog3), "ring"),  # 63 pair products: 7.56 us < 220 * 9
-        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), "factor"),  # > 220 * 16
+        (F2, 4, lambda: st.nu(pr.poly_pow(t2, 4), 3), lambda: direct_nu(pr.poly_pow(t2, 4), 3), "ring"),  # 4 products
+        # at F_3, k = 8 the ring mod t^3 takes m = 5 (8,829 and 1,539 pair products: 1.06 and 0.18 ms); at m = 3
+        # the census of 81 members and at m = 2 nu of 27 factor (17,820 us against 741,393 products, 89.0 ms;
+        # 5,940 us against 1,653,372, 198.4 ms)
         (F3, 8, lambda: st.interval_counts(st.IntervalSpec(f8, 5)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(f8, 5)), "tables"),  # 9,840 codes: 112,460 <= 220 * 729
+         lambda: direct_interval_census(st.IntervalSpec(f8, 5)), "ring"),
+        (F3, 8, lambda: st.interval_counts(st.IntervalSpec(f8, 3)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(f8, 3)), "factor"),
         (F3, 8, lambda: st.progression_counts(prog8).counts,
          lambda: direct_progression_census(prog8), "ring"),  # 5,913 pair products: 709.56 us < 112,460
-        (F3, 8, lambda: st.nu(f8, 5), lambda: direct_nu(f8, 5), "tables"),  # 729 members
+        (F3, 8, lambda: st.nu(f8, 5), lambda: direct_nu(f8, 5), "ring"),
+        (F3, 8, lambda: st.nu(f8, 2), lambda: direct_nu(f8, 2), "factor"),
+        # 1,024 members at F_4, k = 9, m = 4 build tables (197,381 us <= 225,280): the ring mod t^5 would cost
+        # 10,813,440 pair products for the census and 2,031,616 for nu (1,297.6 and 243.8 ms)
+        (F4, 9, lambda: st.interval_counts(st.IntervalSpec(f9, 4)).counts,
+         lambda: direct_interval_census(st.IntervalSpec(f9, 4)), "tables"),
+        (F4, 9, lambda: st.nu(f9, 4), lambda: direct_nu(f9, 4), "tables"),
         (F3, 5, lambda: st.interval_counts(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)).counts,
-         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), "factor"),  # > 220 * 9
+         lambda: direct_interval_census(st.IntervalSpec(P(F3, 2, 1, 0, 2, 1, 1), 1)), "factor"),  # 21,141 products
         (F3, 5, lambda: st.progression_counts(prog5).counts,
          lambda: direct_progression_census(prog5), "ring"),  # 1,944 pair products: 233.28 us < 220 * 27
-        (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1), "factor"),
+        (F3, 5, lambda: st.nu(P(F3, 0, 0, 1, 2, 0, 1), 1), lambda: direct_nu(P(F3, 0, 0, 1, 2, 0, 1), 1),
+         "ring"),  # 8,019 pair products: 962.28 us < 220 * 9
         # a large modulus makes the ring dear: 4 members factor (880 us against 10,485,760 pair products,
         # 1.26 s), and 1,024 build tables (175,535.5 <= 220 * 1,024 against 14,680,064, 1.76 s)
         (F2, 10, lambda: st.progression_counts(prog10).counts, lambda: direct_progression_census(prog10), "factor"),
         (F2, 17, lambda: st.progression_counts(prog17).counts, lambda: direct_progression_census(prog17), "tables"),
-        # interval scans and the nu mean and variance census all q^k members of degree k:
-        # 81 at F_3, k = 4 factor (110,030 > 220 * 81); 1,024 at F_2, k = 10 build tables (110,511.5 <= 220 * 1,024)
-        (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), "factor"),
-        (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), "factor"),
+        # interval scans and the nu mean and variance read every interval of degree k: at F_3, k = 4 from one ring
+        # (54 pair products mod t^2, 567 mod t^3); at F_2, k = 10, m = 1 from tables (110,511.5 <= 220 * 1,024,
+        # against 3,014,656 pair products mod t^9, 361.8 ms)
+        (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), "ring"),
+        (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), "ring"),
         (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), "tables"),
         (F2, 10, lambda: st.mean_variance_nu(F2, 10, 1), lambda: _direct_mean_variance(F2, 10, 1), "tables"),
     ]
     factored = []
     factor = pr.factor
-    monkeypatch.setattr(pr, "factor", lambda f: factored.append(f) or factor(f))
+    monkeypatch.setattr(pr, "factor", lambda f: factored.append(f.degree) or factor(f))
     rings = _record_rings(monkeypatch)
+    units = st.ResidueRing.principal_units
+    monkeypatch.setattr(st.ResidueRing, "principal_units", lambda spec, delta: rings.append(delta) or units(spec, delta))
     for spec, k, census, oracle, route in cases:
         tables._PT_CACHE.clear()
         expected = oracle()
         del factored[:], rings[:]
         assert census() == expected
         assert (spec in tables._PT_CACHE) is (route == "tables")
-        assert bool(factored) is (route == "factor")
+        assert (k in factored) is (route == "factor")  # a ring census factors at most t^(m+1) F's top F alone
         assert bool(rings) is (route == "ring")
+        on_units = any(isinstance(ring, int) for ring in rings)  # the ring of principal units, for intervals
         tables.poly_tables(spec, k)
         del factored[:], rings[:]
         assert census() == expected
-        assert not factored
-        assert bool(rings) is (route == "ring")
+        assert k not in factored
+        assert bool(rings) is (route == "ring" and not on_units)
+    # the boundary of the ring of principal units: variance-trend --k 5 --m 1 counts q <= 5 in the ring mod t^4
+    # (171,875 pair products at q = 5, 20.6 ms) and builds tables from q = 7 (1,294,139 products, 155.3 ms, against
+    # 114,901.75 us); the scans of the sieve-scans workload stay on tables
+    tables._PT_CACHE.clear()
+    nu_k = [Partition((5,))]
+    assert [st.interval_route(gf.make_field(*gf.prime_power(q)), 5, 1, nu_k, q**5)[0] for q in (2, 3, 4, 5, 7, 8, 9)] == [
+        "ring"] * 4 + ["tables"] * 3
+    assert st.interval_route(F5, 5, 1, nu_k, 5**5) == ("ring", 171_875)
+    assert st.interval_route(gf.make_field(7, 1), 5, 1, nu_k, 7**5) == ("tables", 1_294_139)
+    for q, k, lam in [(9, 6, (6,)), (9, 6, (1,) * 6), (2, 18, (18,)), (2, 18, (1,) * 18)]:
+        assert st.interval_route(gf.make_field(*gf.prime_power(q)), k, 1, [Partition(lam)], q**k)[0] == "tables"
 
 
 def test_census_tables_boundary(monkeypatch):
@@ -446,6 +474,39 @@ def test_census_routes_agree(q, kmax, monkeypatch):
                             classes.append(st.progression_counts(st.ProgressionSpec(d_poly, f, k)).counts)
     assert results["factor"] == results["tables"]
     assert results["ring"][1] == results["factor"][1]
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 6), (3, 5), (4, 4), (5, 4)])
+def test_interval_routes_agree(q, kmax, monkeypatch):
+    # every interval I(f; m) of every degree k <= kmax, counted in the ring of principal units mod t^(k - m), from
+    # tables and by factoring: its census (m = 0 included) and nu; and every scan, for every m and every type
+    # (1^k among them), with its per-cell rows, and the nu mean and variance.  The last interval of each k < 5 and
+    # m is also counted directly.
+    spec = gf.make_field(*gf.prime_power(q))
+    tables.poly_tables(spec, kmax)
+    results = {}
+    for route in ("ring", "tables", "factor"):
+        _force_route(monkeypatch, route)
+        out = results[route] = []
+        for k in range(2, kmax + 1):
+            for m in range(k):
+                for base in range(q ** (k - m - 1)):
+                    f = pr.monic_from_code(spec, k, base * q ** (m + 1))
+                    out.append(st.interval_counts(st.IntervalSpec(f, m)).counts)
+                    if m >= 1:
+                        out.append(st.nu(f, m))
+                if m >= 1:
+                    out.append(st.mean_variance_nu(spec, k, m))
+                    for lam in partitions_of(k):
+                        report = verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))
+                        out.append(verify.report_to_dict(report))
+    assert results["ring"] == results["factor"]
+    assert results["tables"] == results["factor"]
+    _force_route(monkeypatch, "ring")
+    for k in range(2, 5):
+        for m in range(k):
+            interval = st.IntervalSpec(pr.monic_from_code(spec, k, (q ** (k - m - 1) - 1) * q ** (m + 1)), m)
+            assert st.interval_counts(interval).counts == direct_interval_census(interval)
 
 
 @pytest.mark.parametrize("q,delta,kmax", [(2, 3, 20), (2, 5, 14), (3, 2, 16), (3, 3, 10), (4, 2, 8), (5, 2, 10)])

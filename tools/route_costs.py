@@ -18,7 +18,14 @@ checkout's `src/`:
             `statistics.ring_products` projects, over the first few monic
             D of degree delta: a whole census of one class (every
             partition of k), as `progression` runs it, or the prime count,
-            as `scan-progressions --lambda k` runs it per modulus.
+            as `scan-progressions --lambda k` runs it per modulus;
+  units     building `statistics.ResidueRing.principal_units(spec, delta)`
+            and its `interval_type_counts` for one type, per pair product
+            that `statistics.interval_route` projects: the prime count
+            (lambda = (k)), as `mean-variance`, `variance-trend` and
+            `scan-intervals --lambda k` run it for every interval of
+            degree k at m = k - delta, or lambda = 1^k, which reads every
+            level.
 
 The sieve and factoring costs are taken at each (q, k) point below, one
 process a point.  The script prints them with the break-even ratio
@@ -71,6 +78,8 @@ RING_POINTS = (
     (3, 2, 9, True), (3, 2, 20, True), (3, 3, 7, False), (5, 2, 6, False), (2, 4, 8, False), (5, 3, 8, False),
 )
 MODULI = 5
+# (q, delta, k, lambda = 1^k rather than (k)): the principal units mod t^delta, intervals of degree k at m = k - delta
+UNIT_POINTS = ((2, 8, 10, False), (2, 8, 10, True), (5, 4, 5, False), (7, 4, 5, False), (3, 4, 20, False))
 
 STARTUP = """
 import time
@@ -151,6 +160,23 @@ print(json.dumps([sorted(times)[reps // 2], len(ds) * st.ring_products(q, delta,
 """
 
 
+UNITS = """
+import json, sys, time
+from ffstat import gf, statistics as st
+from ffstat.combinatorics import Partition
+q, delta, k, ones, reps = map(int, sys.argv[1:])
+spec = gf.make_field(*gf.prime_power(q))
+gf.field_table(spec)
+lams = [Partition((1,) * k if ones else (k,))]
+times = []
+for _ in range(reps):
+    t = time.perf_counter()
+    st.interval_type_counts(st.ResidueRing.principal_units(spec, delta), lams, k - delta)
+    times.append(time.perf_counter() - t)
+print(json.dumps([sorted(times)[reps // 2], st.interval_route(spec, k, k - delta, lams, q**k)[1]]))
+"""
+
+
 def _child(script: str, *args) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, check=True).stdout
@@ -204,6 +230,14 @@ def main() -> int:
         ring_us.append(s / products * 1e6)
         print(f"{q:>3} {delta:>5} {k:>3} {'all' if census else 'prime':>6} {products:>10} {s:>8.4f} {ring_us[-1]:>10.3f}")
     print(f"ring {min(ring_us):.3f}-{max(ring_us):.3f} us a pair product, median {statistics.median(ring_us):.3f}")
+    print("principal-unit points, every interval of degree k at m = k - delta, microseconds a projected pair product:")
+    print(f"{'q':>3} {'delta':>5} {'k':>3} {'types':>6} {'products':>10} {'ring s':>8} {'us/product':>10}")
+    unit_us = []
+    for q, delta, k, ones in UNIT_POINTS:
+        s, products = json.loads(_child(UNITS, q, delta, k, int(ones), REPS))
+        unit_us.append(s / products * 1e6)
+        print(f"{q:>3} {delta:>5} {k:>3} {'1^k' if ones else 'prime':>6} {products:>10} {s:>8.4f} {unit_us[-1]:>10.3f}")
+    print(f"units {min(unit_us):.3f}-{max(unit_us):.3f} us a pair product, median {statistics.median(unit_us):.3f}")
     print(
         f"statistics uses:  start-up {st.TABLE_START_US} us, sieve {st.SIEVE_US_PER_CODE} us a code, "
         f"factoring {st.FACTOR_US_PER_MEMBER} us a member, ring {st.RING_US_PER_PRODUCT} us a pair product; "
