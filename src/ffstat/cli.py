@@ -227,8 +227,7 @@ def _interval_work(spec: FieldSpec, k: int, m: int, lams, members: int, budget: 
     the pair products of its ring of principal units, else the members."""
     from ffstat import statistics as st
 
-    route, products = st.interval_route(spec, k, m, lams, members, budget)
-    return products if route == "ring" else members
+    return st.interval_route(spec, k, m, lams, members, budget)[1]
 
 
 def cmd_interval(args):

@@ -30,12 +30,12 @@ estimated in microseconds: the ring when it is priced no dearer than the
 other two, whatever tables are built; else tables already built; else
 new tables when importing numpy and sieving them is estimated to cost no
 more than factoring every member; else factoring.  Interval censuses ask
-it through `interval_route`, which prices their ring; for them tables
-already built come first, since they read an interval as a slice.  The
-censuses of
-all q^k monic polynomials of degree k, summed per interval by
-`block_sums` for `mean_variance_nu` and `verify.scan_intervals`, and the
-progression scans of `verify` take the same rule; on the table route an
+it through `interval_route`, which offers their ring when its pair
+products fit the budget; for them tables already built come first, since
+they read an interval as a slice.  The censuses of all q^k monic
+polynomials of degree k, summed per interval by `block_sums` for
+`mean_variance_nu` and `verify.scan_intervals`, and the progression
+scans of `verify` take the same rule; on the table route an
 interval scan without tables built to degree k counts only the members
 of its type, from tables up to the type's largest part.  The three
 routes give the same counts and are cross-checked in the tests.
@@ -43,14 +43,14 @@ routes give the same counts and are cross-checked in the tests.
 the table route, so totients, radical sets, the nu decomposition, every
 ring census and every census that factors never load it: an interval
 census loads numpy only when its ring mod t^(k - m) is priced dearer
-than tables, that is when k - m is large and so are the members.
+than tables, that is when k - m is large and so are the members, or
+when its pair products exceed the budget.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 
@@ -182,29 +182,20 @@ FACTOR_US_PER_MEMBER = 220
 # The constant is the first median, rounded.  Sparse vectors (the Z_i,
 # psi_n of small n) make a real convolution cheaper than its q^(2 delta),
 # so large moduli sit at the low end.  The ring of principal units, which
-# counts intervals, is priced with the same constant.  Its points in a
-# later run, on the same 2-core machine and versions at about twice the
-# speed (start-up 51 ms, the ring points above 0.022-0.074 us, median
-# 0.062): at (q, delta, k) = (2, 8, 10), prime and 1^k, (5, 4, 5),
-# (7, 4, 5) and (3, 4, 20), 0.012-0.030 us a projected pair product,
-# median 0.016, for the ring and `interval_type_counts`.  Its tail sums are
-# scalar and its vectors sparse, so the constant over-prices it: the rule
-# keeps it for intervals where it is cheap by a wide margin.
+# counts intervals, is priced with the same constant, which over-prices it
+# (ROADMAP item 5).
 RING_US_PER_PRODUCT = 0.12
 
 
 def census_route(spec: FieldSpec, k: int, members: int | None = None, products: int | None = None,
-                 budget: int = DEFAULT_BUDGET, interval: bool = False) -> str:
+                 budget: int = DEFAULT_BUDGET) -> str:
     """The route of a census of monic degree-k polynomials: "ring", "tables" or "factor".
 
     `members` is how many a census would factor, None for a progression
     scan, which never factors; `products` is the ring pair products
-    (`ring_products`, for intervals `interval_route`) where a residue ring
-    can count the census, else None; `interval` says the members are
-    intervals, blocks of consecutive codes.  The first that holds:
+    (`ring_products`) where a residue ring can count the census, else
+    None.  The first that holds:
 
-    - "tables" for intervals when tables covering degree k are already
-      built: they read each interval as a slice, for less than any ring;
     - "ring" when RING_US_PER_PRODUCT * products costs no more than
       building tables for degree k, nor than factoring `members`;
     - "tables" when tables covering degree k are already built;
@@ -224,20 +215,20 @@ def census_route(spec: FieldSpec, k: int, members: int | None = None, products: 
     def table_us() -> float:  # import numpy and `tables`, then sieve every code of degree 1..k
         return TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
 
-    def built() -> bool:  # no tables exist before the module is imported
-        tables = sys.modules.get("ffstat.tables")
-        return tables is not None and tables.cached_poly_tables(spec, k) is not None
-
-    if interval and built():
-        return "tables"
     ring_us = None if products is None else RING_US_PER_PRODUCT * products
     if ring_us is not None and ring_us <= table_us() and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
         return "ring"
-    if built():
+    if _tables_built(spec, k):
         return "tables"
     if members is None or (spec.q**k <= budget and table_us() <= FACTOR_US_PER_MEMBER * members):
         return "tables"
     return "factor"
+
+
+def _tables_built(spec: FieldSpec, k: int) -> bool:
+    """Whether type tables covering degree k are cached; none exist before `tables` is imported."""
+    tables = sys.modules.get("ffstat.tables")
+    return tables is not None and tables.cached_poly_tables(spec, k) is not None
 
 
 def block_sums(spec: FieldSpec, k: int, m: int, route: str, value, ring_vector, table_sums) -> list[int]:
@@ -548,20 +539,28 @@ def _levels(lam: Partition, m: int) -> list[Partition]:
 
 
 def interval_route(spec: FieldSpec, k: int, m: int, lams, members: int, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
-    """The `census_route` of counting the types `lams` over `members` members of intervals I(f; m) of degree k.
+    """The route of counting the types `lams` over `members` members of intervals I(f; m) of degree k, and its work.
 
-    Also returns the pair products of the ring, `principal_units(spec,
-    k - m)`, for those types at every level of `_levels`.
+    Built tables covering degree k read each interval as a slice, for less
+    than any ring, so they are taken before the ring is priced, and `lams`,
+    any iterable, is not read.  Otherwise `census_route` is offered the
+    ring `principal_units(spec, k - m)` when its `interval_products` fit
+    `budget`.  The work is those pair products on "ring", else `members`.
     """
-    products = _unit_products(spec.q, k - m, m, tuple(lams))
-    return census_route(spec, k, members, products, budget, interval=True), products
+    if _tables_built(spec, k):
+        return "tables", members
+    products = interval_products(spec.q, k, m, lams)
+    route = census_route(spec, k, members, products if products <= budget else None, budget)
+    return route, products if route == "ring" else members
 
 
-@lru_cache(maxsize=None)
-def _unit_products(q: int, delta: int, m: int, lams: tuple[Partition, ...]) -> int:
-    """`interval_route`'s pair products, kept: a session prices the same census for each of its intervals."""
+def interval_products(q: int, k: int, m: int, lams) -> int:
+    """Pair products of counting the types `lams` over intervals I(f; m) of degree k in the ring mod t^(k - m).
+
+    The ring of principal units counts each type at every level of `_levels`.
+    """
     levels = {mu for lam in lams for mu in _levels(lam, m)}
-    return ring_products(q, delta, levels, size=q ** (delta - 1))
+    return ring_products(q, k - m, levels, size=q ** (k - m - 1))
 
 
 def _unit_code(f: Poly, m: int) -> int:
@@ -742,7 +741,8 @@ def nu(f: Poly, m: int) -> int:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     spec = f.spec
     size = spec.q ** (m + 1)
-    route, _ = interval_route(spec, k, m, [Partition((k,))], size)
+    # the type (k), built only if the ring is priced: warm tables answer a session's nu calls in a few microseconds
+    route, _ = interval_route(spec, k, m, map(Partition, [(k,)]), size)
     if route == "ring":
         return ResidueRing.principal_units(spec, k - m).psi(k)[k][_unit_code(f, m)]
     pt, members = _specializations(f, pr.one_poly(spec), m, route)
@@ -756,15 +756,13 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
 
     One pass over M(k, q): members of a common interval share their nu
     value, so the q^k centers reduce to q^{k-m-1} interval sums each
-    weighted by q^{m+1}.  On the ring route `budget` bounds the ring's
-    pair products, and otherwise q^k.
+    weighted by q^{m+1}.  `budget` bounds the work of the route taken:
+    the ring's pair products, else q^k.
     """
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     qk = spec.q**k
-    route, products = interval_route(spec, k, m, [Partition((k,))], qk, budget)
-    if route == "ring" and products > budget:
-        raise BudgetError(f"{products} ring pair products exceed the budget {budget}")
+    route, _ = interval_route(spec, k, m, [Partition((k,))], qk, budget)
     if route != "ring" and qk > budget:
         raise BudgetError(f"q^k = {qk} exceeds the enumeration budget {budget}")
     block = spec.q ** (m + 1)

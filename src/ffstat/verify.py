@@ -267,9 +267,7 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     if lam.k != k:
         raise ValueError(f"{lam} is not a partition of {k}")
     q = spec.q
-    route, products = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
-    if route == "ring" and products > opts.budget:
-        raise BudgetError(f"{products} ring pair products exceed the budget {opts.budget}")
+    route, _ = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
     if route != "ring" and q**k > opts.budget:
         raise BudgetError(
             f"projected enumeration of {q}^{k} = {q**k} polynomials "

@@ -181,14 +181,28 @@ def test_mean_variance_budget_prices_the_ring(capsys):
     env = run_json(capsys, argv)
     assert Fraction(env["result"]["mean"]) == Fraction(3**17 * (3**20 - 1), 3**20)
     assert run_json(capsys, argv + ["--budget", str(products)])["result"] == env["result"]
+    # one product fewer and the ring is not offered: the other routes enumerate all 3^20 members, over the budget
+    assert st.interval_route(gf.make_field(3, 1), 20, 16, [Partition((20,))], 3**20, products - 1) == ("factor", 3**20)
     code, out, err = run(capsys, argv + ["--budget", str(products - 1)])
-    assert code == 2 and out == "" and err.count("\n") == 1 and f"exceeds the budget {products - 1}" in err
-    # the library bounds the same work: the ring's pair products, for the nu sums and for a scan
-    with pytest.raises(BudgetError, match="ring pair products"):
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert f"projected enumeration {3**20} over 27 cells exceeds the budget {products - 1}" in err
+    # the library bounds the same work, for the nu sums and for a scan
+    with pytest.raises(BudgetError, match=f"3486784401 exceeds the enumeration budget {products - 1}"):
         st.mean_variance_nu(gf.make_field(3, 1), 20, 16, budget=products - 1)
-    scan_products = st.interval_route(gf.make_field(3, 1), 20, 16, [Partition((20,))], 3**20)[1]
-    with pytest.raises(BudgetError, match="ring pair products"):
-        verify.scan_intervals(gf.make_field(3, 1), 20, 16, Partition((20,)), verify.ScanOptions(budget=scan_products - 1))
+    with pytest.raises(BudgetError, match=f"3486784401 polynomials .* exceeds the budget {products - 1}"):
+        verify.scan_intervals(gf.make_field(3, 1), 20, 16, Partition((20,)), verify.ScanOptions(budget=products - 1))
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (["mean-variance", "--p", "3", "--k", "4", "--m", "1"], 100),  # 81 members against 567 ring pair products
+    (["variance-trend", "--k", "5", "--m", "1", "--q-list", "5"], 100_000),  # 3,125 members against 171,875
+])
+def test_interval_budget_below_the_ring_takes_another_route(capsys, monkeypatch, argv, budget):
+    # a budget that the ring's pair products exceed, but the members fit, is answered on another route
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    env = run_json(capsys, argv + ["--budget", str(budget)])
+    tables._PT_CACHE.clear()
+    assert env["result"] == run_json(capsys, argv)["result"]
 
 
 def test_dry_run(capsys, monkeypatch):

@@ -355,14 +355,15 @@ def test_census_route_rule(monkeypatch):
         del factored[:], rings[:]
         assert census() == expected
         assert (spec in tables._PT_CACHE) is (route == "tables")
-        assert (k in factored) is (route == "factor")  # a ring census factors at most t^(m+1) F's top F alone
         assert bool(rings) is (route == "ring")
-        on_units = any(isinstance(ring, int) for ring in rings)  # the ring of principal units, for intervals
+        # the ring of principal units mod t^(k - m), for intervals, factors only the lone member t^(m+1) F's top F
+        tops = {delta - 1 for delta in rings if isinstance(delta, int)}
+        assert (set(factored) == {k}) if route == "factor" else (set(factored) <= tops)
         tables.poly_tables(spec, k)
         del factored[:], rings[:]
         assert census() == expected
-        assert k not in factored
-        assert bool(rings) is (route == "ring" and not on_units)
+        assert not factored
+        assert bool(rings) is (route == "ring" and not tops)
     # the boundary of the ring of principal units: variance-trend --k 5 --m 1 counts q <= 5 in the ring mod t^4
     # (171,875 pair products at q = 5, 20.6 ms) and builds tables from q = 7 (1,294,139 products, 155.3 ms, against
     # 114,901.75 us); the scans of the sieve-scans workload stay on tables
@@ -371,7 +372,8 @@ def test_census_route_rule(monkeypatch):
     assert [st.interval_route(gf.make_field(*gf.prime_power(q)), 5, 1, nu_k, q**5)[0] for q in (2, 3, 4, 5, 7, 8, 9)] == [
         "ring"] * 4 + ["tables"] * 3
     assert st.interval_route(F5, 5, 1, nu_k, 5**5) == ("ring", 171_875)
-    assert st.interval_route(gf.make_field(7, 1), 5, 1, nu_k, 7**5) == ("tables", 1_294_139)
+    assert st.interval_products(7, 5, 1, nu_k) == 1_294_139
+    assert st.interval_route(gf.make_field(7, 1), 5, 1, nu_k, 7**5) == ("tables", 7**5)
     for q, k, lam in [(9, 6, (6,)), (9, 6, (1,) * 6), (2, 18, (18,)), (2, 18, (1,) * 18)]:
         assert st.interval_route(gf.make_field(*gf.prime_power(q)), k, 1, [Partition(lam)], q**k)[0] == "tables"
 
@@ -433,6 +435,7 @@ def test_ring_route_boundary(monkeypatch):
 def _force_route(monkeypatch, route):
     """Make every census take `route`: "factor", "tables" or "ring"."""
     monkeypatch.setattr(st, "census_route", lambda *args, **kwargs: route)
+    monkeypatch.setattr(st, "_tables_built", lambda spec, k: False)  # else interval_route reads built tables first
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3), (9, 3)])

@@ -21,7 +21,7 @@ checkout's `src/`:
             as `scan-progressions --lambda k` runs it per modulus;
   units     building `statistics.ResidueRing.principal_units(spec, delta)`
             and its `interval_type_counts` for one type, per pair product
-            that `statistics.interval_route` projects: the prime count
+            that `statistics.interval_products` projects: the prime count
             (lambda = (k)), as `mean-variance`, `variance-trend` and
             `scan-intervals --lambda k` run it for every interval of
             degree k at m = k - delta, or lambda = 1^k, which reads every
@@ -173,7 +173,7 @@ for _ in range(reps):
     t = time.perf_counter()
     st.interval_type_counts(st.ResidueRing.principal_units(spec, delta), lams, k - delta)
     times.append(time.perf_counter() - t)
-print(json.dumps([sorted(times)[reps // 2], st.interval_route(spec, k, k - delta, lams, q**k)[1]]))
+print(json.dumps([sorted(times)[reps // 2], st.interval_products(q, k, k - delta, lams)]))
 """
 
 
