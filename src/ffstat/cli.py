@@ -222,14 +222,6 @@ def cmd_totient(args):
     return spec, params, (0, 0), lambda: (st.poly_totient(d_poly), None, 0)
 
 
-def _interval_work(spec: FieldSpec, k: int, m: int, lams, members: int, budget: int = DEFAULT_BUDGET) -> int:
-    """The work of counting `lams` over `members` members of intervals I(f; m) of degree k, on the route taken:
-    the pair products of its ring of principal units, else the members."""
-    from ffstat import statistics as st
-
-    return st.interval_route(spec, k, m, lams, members, budget)[1]
-
-
 def cmd_interval(args):
     from ffstat import statistics as st
 
@@ -244,8 +236,8 @@ def cmd_interval(args):
     params = {"f": pr.poly_text(f), "m": args.m}
     if lam is not None:
         params["lambda"] = str(lam)
-    work = _interval_work(spec, interval.k, args.m, partitions_of(interval.k), interval.size)
-    return spec, params, (1, work), lambda: (_census_result(st.interval_counts(interval), lam), None, 0)
+    _, work = st.interval_route(spec, interval.k, args.m, partitions_of(interval.k), interval.size, args.budget)
+    return spec, params, (1, work), lambda: (_census_result(st.interval_counts(interval, args.budget), lam), None, 0)
 
 
 def cmd_progression(args):
@@ -260,9 +252,8 @@ def cmd_progression(args):
     params = {"D": pr.poly_text(d_poly), "f": pr.poly_text(f), "k": args.k}
     if lam is not None:
         params["lambda"] = str(lam)
-    products = st.ring_products(spec.q, d_poly.degree, partitions_of(prog.k))
-    work = products if st.census_route(spec, prog.k, prog.size, products) == "ring" else prog.size  # of the route taken
-    return spec, params, (1, work), lambda: (_census_result(st.progression_counts(prog), lam), None, 0)
+    _, work = st.progression_route(prog, args.budget)
+    return spec, params, (1, work), lambda: (_census_result(st.progression_counts(prog, args.budget), lam), None, 0)
 
 
 def cmd_nu(args):
@@ -275,12 +266,12 @@ def cmd_nu(args):
     k = f.degree
     _require(k >= 2, f"--f {params['f']} has degree {k}, which must be >= 2")
     _require(1 <= args.m < k, f"m = {args.m} out of range 1..{k - 1}")
-    enumeration = _interval_work(spec, k, args.m, [Partition((k,))], spec.q ** (args.m + 1))
+    _, enumeration = st.interval_route(spec, k, args.m, None, spec.q ** (args.m + 1), args.budget)
     if args.decompose:
         enumeration += sum(spec.q ** (k // d) for d in divisors(k) if d > 1)
 
     def run():
-        result = {"nu": st.nu(f, args.m)}
+        result = {"nu": st.nu(f, args.m, args.budget)}
         if args.decompose:
             dec = st.nu_decomposition(f, args.m)
             result["decomposition"] = {
@@ -323,12 +314,12 @@ def cmd_mean_variance(args):
         mean, var = st.mean_variance_nu(spec, args.k, args.m, args.budget)
         return {"mean": frac_str(mean), "variance": frac_str(var)}, None, 0
 
-    work = _interval_work(spec, args.k, args.m, [Partition((args.k,))], spec.q**args.k, args.budget)
+    _, work = st.interval_route(spec, args.k, args.m, None, spec.q**args.k, args.budget)
     return spec, params, (spec.q ** (args.k - args.m - 1), work), run
 
 
 def cmd_variance_trend(args):
-    from ffstat import verify
+    from ffstat import statistics as st, verify
 
     q_list = [int(tok) for tok in args.q_list.replace(" ", "").split(",") if tok]
     params = {"k": args.k, "m": args.m, "q_list": q_list}
@@ -337,8 +328,7 @@ def cmd_variance_trend(args):
     _require(1 <= args.m < args.k - 3, f"m = {args.m} outside the valid range 1 <= m < k - 3 = {args.k - 3}")
     specs = [gf.make_field(*gf.prime_power(q)) for q in q_list]
     cells = sum(q ** (args.k - args.m - 1) for q in q_list)
-    enumeration = sum(_interval_work(spec, args.k, args.m, [Partition((args.k,))], spec.q**args.k, args.budget)
-                      for spec in specs)
+    enumeration = sum(st.interval_route(spec, args.k, args.m, None, spec.q**args.k, args.budget)[1] for spec in specs)
 
     def run():
         report = verify.variance_trend(args.k, args.m, q_list, args.budget)
@@ -359,7 +349,7 @@ def _scan_result(args, report: verify.DeviationReport):
 
 
 def cmd_scan_intervals(args):
-    from ffstat import verify
+    from ffstat import statistics as st, verify
 
     spec = _field_from_args(args)
     lam = parse_partition(args.lam)
@@ -371,7 +361,7 @@ def cmd_scan_intervals(args):
         budget=args.budget,
         per_cell=args.per_cell or args.fmt == "csv",
     )
-    work = _interval_work(spec, args.k, args.m, [lam], spec.q**args.k, args.budget)
+    _, work = st.interval_route(spec, args.k, args.m, [lam], spec.q**args.k, args.budget)
     projection = (spec.q ** (args.k - args.m - 1), work)
     return spec, params, projection, lambda: _scan_result(args, verify.scan_intervals(spec, args.k, args.m, lam, opts))
 

@@ -25,17 +25,18 @@ strikes out every member with a monic factor of degree <= m + 1, for all
 such factors at once over lists of digits, and tests what is left with
 Rabin's test only when k // 2 > m + 1.
 
-One rule, `census_route`, picks the route of every census from costs
-estimated in microseconds: the ring when it is priced no dearer than the
-other two, whatever tables are built; else tables already built; else
-new tables when importing numpy and sieving them is estimated to cost no
-more than factoring every member; else factoring.  Interval censuses ask
-it through `interval_route`, which offers their ring when its pair
-products fit the budget; for them tables already built come first, since
-they read an interval as a slice.  The censuses of all q^k monic
-polynomials of degree k, summed per interval by `block_sums` for
-`mean_variance_nu` and `verify.scan_intervals`, and the progression
-scans of `verify` take the same rule; on the table route an
+One rule, `census_route`, picks the route of every census, in one order:
+tables already built to degree k; else the ring, when its pair products
+fit the budget and it is priced cheapest, in microseconds; else new
+tables, when importing numpy and sieving them is estimated to cost no
+more than factoring every member; else factoring.  A census with a ring
+passes its price lazily, so a census on built tables never prices one:
+`interval_route` for intervals, in the ring mod t^(k - m), and
+`progression_route` for residue classes, each also returning the work
+of the route taken, which is what the budget bounds.  The censuses of
+all q^k monic polynomials of degree k, summed per interval by
+`block_sums` for `mean_variance_nu` and `verify.scan_intervals`, and the
+progression scans of `verify` take the same rule; on the table route an
 interval scan without tables built to degree k counts only the members
 of its type, from tables up to the type's largest part.  The three
 routes give the same counts and are cross-checked in the tests.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 
@@ -156,79 +158,57 @@ class TypeCensus(Record):
 # `census_route` compares the routes' costs in microseconds.  The table
 # route pays once for importing numpy and `tables`, then for sieving each
 # of the q + q^2 + ... + q^k codes of degrees 1..k; the factoring route
-# pays for each member.  `python tools/route_costs.py` measures all three in fresh
-# processes.  Two runs on a 2-core x86 machine with Python 3.11.7 and numpy
-# 2.4.6 gave a start-up of 104-110 ms and, at (q, k) in (2, 14), (3, 9),
-# (5, 6), (9, 5), (7, 5), a sieve of 0.15-1.19 us a code (medians 0.23 and
-# 0.25) and 187-402 us to factor a member (medians 216 and 223): a
-# break-even of 325-1450 codes a member.  The constants are rounded
-# medians.  Tables pay off from about 500 members, and past that while the
-# sieve stays under about 880 codes a member.  These figures were taken
-# when `polyring.factor` still split out every prime by equal-degree
-# splitting.  On a faster 2-core machine with the same Python and numpy,
-# that factorizer took medians of 99-129 us a member at these points, and
-# the degree-only `factor` takes 82-83 us; all three constants are kept.
+# pays for each member; the ring route pays for each pair product it may
+# multiply, q^(2 delta) for R's multiplication table and for each
+# convolution, in pure Python, so it has no start-up.  The ring of
+# principal units, which counts intervals, is priced with the same
+# constant, which over-prices it (ROADMAP item 5).  `python
+# tools/route_costs.py` measures all three in fresh processes.
 TABLE_START_US = 110_000
 SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
-
-# The ring route pays for each pair product it may multiply: q^(2 delta)
-# for R's multiplication table and for each convolution, in pure Python,
-# so it has no start-up.  `python tools/route_costs.py` measures it at six
-# (q, delta, k) points, whole censuses and prime counts, on 5 moduli each.
-# Two runs on the 2-core machine and versions above gave 0.048-0.176 us a
-# projected pair product, median 0.126 (start-up 115 ms and factoring
-# 151-293 us a member in the same run), and 0.032-0.152, median 0.095.
-# The constant is the first median, rounded.  Sparse vectors (the Z_i,
-# psi_n of small n) make a real convolution cheaper than its q^(2 delta),
-# so large moduli sit at the low end.  The ring of principal units, which
-# counts intervals, is priced with the same constant, which over-prices it
-# (ROADMAP item 5).
 RING_US_PER_PRODUCT = 0.12
 
 
-def census_route(spec: FieldSpec, k: int, members: int | None = None, products: int | None = None,
+def census_route(spec: FieldSpec, k: int, members: int | None = None, products: Callable[[], int] | None = None,
                  budget: int = DEFAULT_BUDGET) -> str:
     """The route of a census of monic degree-k polynomials: "ring", "tables" or "factor".
 
     `members` is how many a census would factor, None for a progression
-    scan, which never factors; `products` is the ring pair products
-    (`ring_products`) where a residue ring can count the census, else
-    None.  The first that holds:
+    scan, which never factors; `products`, where a residue ring can count
+    the census, is a function returning the ring's pair products
+    (`ring_products`, `interval_products`), else None.  The first that
+    holds:
 
-    - "ring" when RING_US_PER_PRODUCT * products costs no more than
-      building tables for degree k, nor than factoring `members`;
-    - "tables" when tables covering degree k are already built;
-    - "tables" for a scan, or when q^k fits the enumeration budget `budget`
-      and building them costs no more than factoring every member:
+    - "tables" when tables covering degree k are already built, since a
+      lookup in them costs far less than factoring or any ring;
+    - "ring" when its pair products fit the enumeration budget `budget`
+      and RING_US_PER_PRODUCT * products costs no more than building
+      tables for degree k, nor than factoring `members`;
+    - "tables" for a scan, or when q^k fits `budget` and building them
+      costs no more than factoring every member:
       TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members;
     - "factor".
 
-    The start-up is charged whether or not numpy is loaded yet, so the
-    route depends only on the query and the tables already built.  Built
-    tables are read even where the cold rule would factor, since a lookup
-    in them costs far less than factoring.  The rule builds and imports
-    nothing: a caller on "tables" reads them from `tables.poly_tables`,
-    and a census that factors or counts in the ring never loads numpy.
+    `products` is called only when no built tables cover degree k.  The
+    start-up is charged whether or not numpy is loaded yet, so the route
+    depends only on the query, the budget and the tables already built.
+    The rule builds and imports nothing: a caller on "tables" reads them
+    from `tables.poly_tables`, and a census that factors or counts in the
+    ring never loads numpy.
     """
-
-    def table_us() -> float:  # import numpy and `tables`, then sieve every code of degree 1..k
-        return TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
-
-    ring_us = None if products is None else RING_US_PER_PRODUCT * products
-    if ring_us is not None and ring_us <= table_us() and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
-        return "ring"
-    if _tables_built(spec, k):
+    tables = sys.modules.get("ffstat.tables")  # none are built before it is imported
+    if tables is not None and tables.cached_poly_tables(spec, k) is not None:
         return "tables"
-    if members is None or (spec.q**k <= budget and table_us() <= FACTOR_US_PER_MEMBER * members):
+    table_us = TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
+    if products is not None:
+        pairs = products()
+        ring_us = RING_US_PER_PRODUCT * pairs
+        if pairs <= budget and ring_us <= table_us and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
+            return "ring"
+    if members is None or (spec.q**k <= budget and table_us <= FACTOR_US_PER_MEMBER * members):
         return "tables"
     return "factor"
-
-
-def _tables_built(spec: FieldSpec, k: int) -> bool:
-    """Whether type tables covering degree k are cached; none exist before `tables` is imported."""
-    tables = sys.modules.get("ffstat.tables")
-    return tables is not None and tables.cached_poly_tables(spec, k) is not None
 
 
 def block_sums(spec: FieldSpec, k: int, m: int, route: str, value, ring_vector, table_sums) -> list[int]:
@@ -541,24 +521,27 @@ def _levels(lam: Partition, m: int) -> list[Partition]:
 def interval_route(spec: FieldSpec, k: int, m: int, lams, members: int, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
     """The route of counting the types `lams` over `members` members of intervals I(f; m) of degree k, and its work.
 
-    Built tables covering degree k read each interval as a slice, for less
-    than any ring, so they are taken before the ring is priced, and `lams`,
-    any iterable, is not read.  Otherwise `census_route` is offered the
-    ring `principal_units(spec, k - m)` when its `interval_products` fit
-    `budget`.  The work is those pair products on "ring", else `members`.
+    `census_route` picks it, offered the ring `principal_units(spec, k - m)`
+    at the price of its `interval_products`, which it asks for only when
+    no built tables cover degree k.  `lams` is a list of types, or None
+    for the prime type (k) alone, built only when the ring is priced.  The
+    work is those pair products on "ring", else `members`.
     """
-    if _tables_built(spec, k):
-        return "tables", members
-    products = interval_products(spec.q, k, m, lams)
-    route = census_route(spec, k, members, products if products <= budget else None, budget)
-    return route, products if route == "ring" else members
+
+    def products() -> int:
+        return interval_products(spec.q, k, m, lams)
+
+    route = census_route(spec, k, members, products, budget)
+    return route, products() if route == "ring" else members
 
 
 def interval_products(q: int, k: int, m: int, lams) -> int:
     """Pair products of counting the types `lams` over intervals I(f; m) of degree k in the ring mod t^(k - m).
 
-    The ring of principal units counts each type at every level of `_levels`.
+    The ring of principal units counts each type at every level of
+    `_levels`; `lams` None is the prime type (k) alone.
     """
+    lams = [Partition((k,))] if lams is None else lams
     levels = {mu for lam in lams for mu in _levels(lam, m)}
     return ring_products(q, k - m, levels, size=q ** (k - m - 1))
 
@@ -622,15 +605,17 @@ def specialization_counts(f: Poly, g: Poly, m: int) -> TypeCensus:
     return _census(f, g, m, census_route(spec, k, spec.q ** (m + 1)))
 
 
-def interval_counts(interval: IntervalSpec) -> TypeCensus:
+def interval_counts(interval: IntervalSpec, budget: int = DEFAULT_BUDGET) -> TypeCensus:
     """Census over a short interval; the entry at (k) is the prime count.
 
     On the ring route every type is read at the interval's class in
     `principal_units(spec, k - m)`, and t^(m+1) F is factored alone.
+    `budget` bounds the ring's pair products and the tables the census
+    may build (`interval_route`).
     """
     spec, k, m = interval.spec, interval.k, interval.m
     parts = partitions_of(k)
-    route, _ = interval_route(spec, k, m, parts, interval.size)
+    route, _ = interval_route(spec, k, m, parts, interval.size, budget)
     if route != "ring":
         return _census(interval.f, pr.one_poly(spec), m, route)
     code = _unit_code(interval.f, m)
@@ -688,16 +673,32 @@ def interval_prime_count(interval: IntervalSpec) -> int:
     return sum(pr.is_irreducible(pr.monic_from_code(spec, k, code)) for code, hit in zip(interval.codes(), struck) if not hit)
 
 
-def progression_counts(prog: ProgressionSpec) -> TypeCensus:
+def progression_route(prog: ProgressionSpec, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
+    """The route of `progression_counts` and its work.
+
+    The work is the pair products of `ResidueRing(prog.D)` on "ring", else
+    the members; `census_route` asks for the ring's price only when no
+    built tables cover degree k.
+    """
+
+    def products() -> int:
+        return ring_products(prog.spec.q, prog.D.degree, partitions_of(prog.k))
+
+    route = census_route(prog.spec, prog.k, prog.size, products, budget)
+    return route, products() if route == "ring" else prog.size
+
+
+def progression_counts(prog: ProgressionSpec, budget: int = DEFAULT_BUDGET) -> TypeCensus:
     """Census over the monic degree-k members of a residue class.
 
     The ring route reads the class of f from `ResidueRing.type_counts`;
     the others list the members (f + D*t^r) + D*h, deg h < r = k - deg D,
-    as `specialization_counts` lists f + g*h.
+    as `specialization_counts` lists f + g*h.  `budget` bounds the ring's
+    pair products and the tables the census may build (`progression_route`).
     """
     spec, k, r = prog.spec, prog.k, prog.k - prog.D.degree
     parts = partitions_of(k)
-    route = census_route(spec, k, prog.size, ring_products(spec.q, prog.D.degree, parts))
+    route, _ = progression_route(prog, budget)
     if route != "ring":
         return _census(pr.poly_add(prog.f, pr.poly_mul(prog.D, pr.monomial(spec, r))), prog.D, r - 1, route)
     classes = ResidueRing(prog.D).type_counts(k, parts)
@@ -728,12 +729,13 @@ def von_mangoldt(g: Poly) -> int:
     return fact[0][0] if len(fact) == 1 else 0
 
 
-def nu(f: Poly, m: int) -> int:
+def nu(f: Poly, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Sum of the von Mangoldt function over interval members with nonzero constant term.
 
     On the ring route it is psi_k at the interval's class in
     `principal_units(spec, k - m)`, which leaves out the members with zero
-    constant term by construction.
+    constant term by construction.  `budget` bounds the ring's pair
+    products and the tables it may build (`interval_route`).
     """
     check_center(f)
     k = f.degree
@@ -741,8 +743,8 @@ def nu(f: Poly, m: int) -> int:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     spec = f.spec
     size = spec.q ** (m + 1)
-    # the type (k), built only if the ring is priced: warm tables answer a session's nu calls in a few microseconds
-    route, _ = interval_route(spec, k, m, map(Partition, [(k,)]), size)
+    # the prime type (k), built only if the ring is priced: warm tables answer a session's nu calls in a few microseconds
+    route, _ = interval_route(spec, k, m, None, size, budget)
     if route == "ring":
         return ResidueRing.principal_units(spec, k - m).psi(k)[k][_unit_code(f, m)]
     pt, members = _specializations(f, pr.one_poly(spec), m, route)
@@ -762,8 +764,8 @@ def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDG
     if not 1 <= m < k:
         raise ValueError(f"m = {m} out of range 1..{k - 1}")
     qk = spec.q**k
-    route, _ = interval_route(spec, k, m, [Partition((k,))], qk, budget)
-    if route != "ring" and qk > budget:
+    route, work = interval_route(spec, k, m, None, qk, budget)
+    if work > budget:
         raise BudgetError(f"q^k = {qk} exceeds the enumeration budget {budget}")
     block = spec.q ** (m + 1)
     sums = block_sums(spec, k, m, route, von_mangoldt, lambda ring: ring.psi(k)[k],

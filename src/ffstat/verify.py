@@ -7,31 +7,33 @@ excluded cells.  The deviation bound's constant is non-effective, so no
 a-priori bound is asserted; instead the normalized empirical constant
 |count - expected| / q^{m+1/2} is recorded and pinned by snapshot.
 
-Scans visit cells in order, so reports are deterministic, and run in
-the process's one OS thread (`tables` starts numpy's OpenBLAS with no
-worker threads); `ScanOptions.workers` is accepted and ignored.  Both
-scans take their route from `statistics.census_route`.  On the route
-it picks, an interval scan reads every cell from one vector of the ring
-of principal units mod t^(k - m) when that ring is priced cheapest, as it
-is when m is above about k/2 or q^k is small; else it factors all q^k
-monic polynomials of degree k, or counts from type tables: from tables
-already built to degree k when there are, and otherwise from tables up
-to its type's largest part, which list only the members of its type
-(`tables.PolyTables.type_block_counts`).  A progression scan never
-factors: it counts all classes of a modulus at once, in one
-`statistics.ResidueRing` a modulus when the rings it may build are
-priced no dearer than type tables for degree k, and otherwise from one
-listing of the degree-k codes a modulus in the tables.  The
-counterexamples count the primes of I(t^k, 0) and I(t^k, 1) with
-`statistics.interval_prime_count`, which needs no Rabin test at m = 0,
-k <= 3 nor at m = 1, k <= 5.  `tables`, and
-with it numpy, is imported only inside the functions that build or read
-tables, so the hypothesis checks, the counterexamples, interval scans
-and variance trends on the ring route and progression scans with small
-moduli never load it: an interval scan loads numpy only when the ring
-mod t^(k - m) is priced dearer than tables (`scan-intervals --p 2 --k 12
---m 1` does, at --m 2 --k 10 it does not).  The
-command line imports this module only for the subcommands that run it.
+Scans visit cells in order, so reports are deterministic, and run in the
+process's one OS thread (`tables` starts numpy's OpenBLAS with no worker
+threads); `ScanOptions.workers` is accepted and ignored.  Both scans take
+their route from `statistics.census_route`: tables already built to
+degree k, else the ring when its pair products fit the budget (an
+interval scan's own, the default one for a progression scan, whose
+budget bounds cells times members) and it is priced cheapest, else new
+tables or, for an interval scan, factoring.  On the ring, taken when m is
+above about k/2 or q^k is small, an interval scan reads every cell from
+one vector of the ring of principal units mod t^(k - m); else it factors
+all q^k monic polynomials of degree k, or counts from type tables: from
+tables already built to degree k when there are, and otherwise from
+tables up to its type's largest part, which list only the members of its
+type (`tables.PolyTables.type_block_counts`).  A progression scan never
+factors: it counts all classes of a modulus at once, on the ring in one
+`statistics.ResidueRing` a modulus, priced for every modulus it may
+reach, and otherwise from one listing of the degree-k codes a modulus in
+the tables.  The counterexamples count the primes of I(t^k, 0) and
+I(t^k, 1) with `statistics.interval_prime_count`, which needs no Rabin
+test at m = 0, k <= 3 nor at m = 1, k <= 5.  `tables`, and with it numpy,
+is imported only inside the functions that build or read tables, so the
+hypothesis checks, the counterexamples, interval scans and variance
+trends on the ring route and progression scans with small moduli never
+load it: an interval scan loads numpy only when the ring mod t^(k - m)
+is priced dearer than tables (`scan-intervals --p 2 --k 12 --m 1` does,
+at --m 2 --k 10 it does not).  The command line imports this module only
+for the subcommands that run it.
 """
 
 from __future__ import annotations
@@ -267,8 +269,8 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     if lam.k != k:
         raise ValueError(f"{lam} is not a partition of {k}")
     q = spec.q
-    route, _ = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
-    if route != "ring" and q**k > opts.budget:
+    route, work = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
+    if work > opts.budget:
         raise BudgetError(
             f"projected enumeration of {q}^{k} = {q**k} polynomials "
             f"({q ** (k - m - 1)} cells) exceeds the budget {opts.budget}"
@@ -333,8 +335,9 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
     order, optionally truncated after `max_cells` cells (deterministic
     prefix, never sampled).  Each cell's count is compared to the exact
     rational pi_q(k; lam) / phi(D).  All classes of one D are counted at
-    its first cell: by its `statistics.ResidueRing` when the rings the
-    scan may reach, at most one a cell, are priced no dearer than type
+    its first cell: by its `statistics.ResidueRing` when no tables are
+    built to degree k and the rings the scan may reach, at most one a
+    cell, fit the default budget and are priced no dearer than type
     tables for degree k (`statistics.census_route`); otherwise from one
     `tables.member_codes` listing of the q^k monic polynomials of degree
     k as f + D*t^(m+1) + D*h, residue f fastest, summed per class.
@@ -360,7 +363,7 @@ def scan_progressions(spec: FieldSpec, k: int, m: int, lam: Partition, options: 
         )
     # one ring a modulus, for each D the scan reaches
     rings = q**delta if opts.max_cells is None else min(q**delta, opts.max_cells)
-    if st.census_route(spec, k, products=rings * st.ring_products(q, delta, [lam])) == "ring":
+    if st.census_route(spec, k, products=lambda: rings * st.ring_products(q, delta, [lam])) == "ring":
         def class_counts(d_poly):
             return st.ResidueRing(d_poly).type_counts(k, [lam])[lam]
     else:

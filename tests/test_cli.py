@@ -196,6 +196,9 @@ def test_mean_variance_budget_prices_the_ring(capsys):
 @pytest.mark.parametrize("argv,budget", [
     (["mean-variance", "--p", "3", "--k", "4", "--m", "1"], 100),  # 81 members against 567 ring pair products
     (["variance-trend", "--k", "5", "--m", "1", "--q-list", "5"], 100_000),  # 3,125 members against 171,875
+    (["interval", "--p", "3", "--k", "5", "--m", "2", "--f", "1,2,0,1,2,1"], 100),  # 27 members
+    (["nu", "--p", "3", "--f", "1,2,0,1,2,1", "--m", "2"], 100),  # 27 members
+    (["progression", "--p", "3", "--k", "9", "--D", "2,0,1", "--f", "1"], 3000),  # 2,187 members
 ])
 def test_interval_budget_below_the_ring_takes_another_route(capsys, monkeypatch, argv, budget):
     # a budget that the ring's pair products exceed, but the members fit, is answered on another route
@@ -203,6 +206,54 @@ def test_interval_budget_below_the_ring_takes_another_route(capsys, monkeypatch,
     env = run_json(capsys, argv + ["--budget", str(budget)])
     tables._PT_CACHE.clear()
     assert env["result"] == run_json(capsys, argv)["result"]
+
+
+F17 = "1,0,1,1,0,0,1,0,1,1,1,0,0,1,0,1,1,1"  # a monic of degree 17 over F_2
+
+
+PROJECTIONS = [
+    # the ring at a budget equal to its pair products, and one below them the next route, on the members
+    (["interval", "--p", "3", "--k", "5", "--m", "2", "--f", "1,2,0,1,2,1", "--budget", "2349"], "ring", 2_349),
+    (["interval", "--p", "3", "--k", "5", "--m", "2", "--f", "1,2,0,1,2,1", "--budget", "2348"], "factor", 27),
+    (["interval", "--p", "2", "--k", "17", "--m", "9", "--f", F17], "tables", 1_024),
+    (["nu", "--p", "3", "--f", "1,2,0,1,2,1", "--m", "2", "--budget", "810"], "ring", 810),
+    (["nu", "--p", "3", "--f", "1,2,0,1,2,1", "--m", "2", "--budget", "809"], "factor", 27),
+    (["nu", "--p", "2", "--f", F17, "--m", "9"], "tables", 1_024),
+    (["progression", "--p", "3", "--k", "5", "--D", "1,0,1", "--f", "0,1", "--budget", "1944"], "ring", 1_944),
+    (["progression", "--p", "3", "--k", "5", "--D", "1,0,1", "--f", "0,1", "--budget", "1943"], "factor", 27),
+    (["progression", "--p", "2", "--k", "17", "--D", "1,1,0,0,0,0,0,1", "--f", "1"], "tables", 1_024),
+    (["mean-variance", "--p", "3", "--k", "4", "--m", "1", "--budget", "567"], "ring", 567),
+    (["mean-variance", "--p", "3", "--k", "4", "--m", "1", "--budget", "566"], "factor", 81),
+    (["mean-variance", "--p", "2", "--k", "10", "--m", "1"], "tables", 1_024),
+    (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "567"], "ring", 567),
+    (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "566"], "factor", 81),
+    (["scan-intervals", "--p", "2", "--k", "10", "--m", "1", "--lambda", "10"], "tables", 1_024),
+]
+
+
+@pytest.mark.parametrize("argv,route,work", PROJECTIONS, ids=[f"{argv[0]}-{route}" for argv, route, _ in PROJECTIONS])
+def test_dry_run_projects_the_route_taken(capsys, monkeypatch, argv, route, work):
+    # --dry-run projects the work of the route the run then takes: the ring's pair products, else the members.
+    # A wrapper around census_route records each route it picks, with the ring's price where it asked for it.
+    monkeypatch.setattr(tables, "_PT_CACHE", {})  # as in a fresh process
+    taken = []
+    rule = st.census_route
+
+    def recording(spec, k, members=None, products=None, budget=DEFAULT_BUDGET):
+        priced = []
+        price = None if products is None else lambda: priced.append(products()) or priced[0]
+        chosen = rule(spec, k, members, price, budget)
+        taken.append((chosen, priced[0] if chosen == "ring" else members))
+        return chosen
+
+    monkeypatch.setattr(st, "census_route", recording)
+    assert run_json(capsys, argv + ["--dry-run"])["result"]["projected_enumeration"] == work
+    del taken[:]
+    run_json(capsys, argv)
+    assert len(taken) == 2 and set(taken) == {(route, work)}  # the projection's and the run's
+    if route != "ring":  # one below the members, every route is over the budget
+        code, out, err = run(capsys, argv + ["--budget", str(work - 1)])
+        assert code == 2 and out == "" and err.count("\n") == 1 and f"projected enumeration {work} " in err
 
 
 def test_dry_run(capsys, monkeypatch):

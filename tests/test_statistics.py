@@ -287,8 +287,7 @@ def _record_rings(monkeypatch):
 
 def test_census_route_rule(monkeypatch):
     # each census, from an empty table cache, takes the route the rule names; once tables for its degree are
-    # built, a census that factored reads them, and so does an interval census that took its ring, while a
-    # residue class stays on its ring
+    # built, every census reads them and none factors or builds a ring, residue classes included
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2, F3, F4, F5 = (gf.make_field(*gf.prime_power(q)) for q in (2, 3, 4, 5))
     t2 = pr.monomial(F2, 1)
@@ -363,7 +362,7 @@ def test_census_route_rule(monkeypatch):
         del factored[:], rings[:]
         assert census() == expected
         assert not factored
-        assert bool(rings) is (route == "ring" and not tops)
+        assert not rings
     # the boundary of the ring of principal units: variance-trend --k 5 --m 1 counts q <= 5 in the ring mod t^4
     # (171,875 pair products at q = 5, 20.6 ms) and builds tables from q = 7 (1,294,139 products, 155.3 ms, against
     # 114,901.75 us); the scans of the sieve-scans workload stay on tables
@@ -402,22 +401,28 @@ def test_ring_route_boundary(monkeypatch):
     monkeypatch.setattr(tables, "_PT_CACHE", {})
     F2 = gf.make_field(2, 1)
     # tables for F_2, k = 10 cost 110,511.5 us; at 0.12 us a pair product the ring is no dearer up to 920,929
-    assert st.census_route(F2, 10, products=920_929) == "ring"
-    assert st.census_route(F2, 10, products=920_930) == "tables"
+    assert st.census_route(F2, 10, products=lambda: 920_929) == "ring"
+    assert st.census_route(F2, 10, products=lambda: 920_930) == "tables"
+    # and only within the budget: over it, the next route that fits
+    assert st.census_route(F2, 10, products=lambda: 920_929, budget=920_929) == "ring"
+    assert st.census_route(F2, 10, products=lambda: 920_929, budget=920_928) == "tables"
+    assert st.census_route(F2, 10, 4, lambda: 7_333, budget=7_332) == "factor"
     # against factoring 4 members, 880 us: 7,333 pair products cost 879.96 us and 7,334 cost 880.08 us
-    assert st.census_route(F2, 10, 4, 7_333) == "ring"
-    assert st.census_route(F2, 10, 4, 7_334) == "factor"
+    assert st.census_route(F2, 10, 4, lambda: 7_333) == "ring"
+    assert st.census_route(F2, 10, 4, lambda: 7_334) == "factor"
     # a census of one class at k = 10: deg D = 4 takes the ring (37,376 pair products, 4,485.12 us against
     # 220 * 64), deg D = 5 factors its 32 members (154,624 pair products, 18,554.88 us against 7,040)
     d4, d5 = _progression(F2, (1, 1, 0, 0, 1), (1,), 10), _progression(F2, (1, 0, 1, 0, 0, 1), (1,), 10)
     parts = partitions_of(10)
     assert (d4.size, st.ring_products(2, 4, parts), d5.size, st.ring_products(2, 5, parts)) == (64, 37_376, 32, 154_624)
-    assert st.census_route(F2, 10, 64, 37_376) == "ring"
-    assert st.census_route(F2, 10, 32, 154_624) == "factor"
-    # built tables do not move a census off the ring
+    assert st.census_route(F2, 10, 64, lambda: 37_376) == "ring"
+    assert st.census_route(F2, 10, 32, lambda: 154_624) == "factor"
+    # built tables take every census, and its ring is not priced
     tables.poly_tables(F2, 10)
-    assert st.census_route(F2, 10, 64, 37_376) == "ring"
-    assert st.census_route(F2, 10, 32, 154_624) == "tables"
+    assert st.census_route(F2, 10, 64, lambda: 37_376) == "tables"
+    assert st.census_route(F2, 10, 32, lambda: 154_624) == "tables"
+    priced = []
+    assert st.census_route(F2, 10, 64, lambda: priced.append(1) or 37_376) == "tables" and not priced
     tables._PT_CACHE.clear()
     # a progression scan prices a ring for each modulus it may reach, at most one a cell: at F_2, k = 8, m = 1
     # (deg D = 6, 114,688 pair products a ring) 8 rings cost 110,100.48 us, no more than the 110,127.5 us of
@@ -435,7 +440,6 @@ def test_ring_route_boundary(monkeypatch):
 def _force_route(monkeypatch, route):
     """Make every census take `route`: "factor", "tables" or "ring"."""
     monkeypatch.setattr(st, "census_route", lambda *args, **kwargs: route)
-    monkeypatch.setattr(st, "_tables_built", lambda spec, k: False)  # else interval_route reads built tables first
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3), (9, 3)])

@@ -271,7 +271,6 @@ def test_whole_degree_routes_agree(q, kmax, monkeypatch):
     results = {}
     for route in ("factor", "tables"):
         monkeypatch.setattr(st, "census_route", lambda *args, route=route, **kwargs: route)
-        monkeypatch.setattr(st, "_tables_built", lambda spec, k: False)  # else interval_route reads built tables first
         out = results[route] = []
         for k in range(2, kmax + 1):
             for m in range(1, k):
