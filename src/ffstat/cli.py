@@ -361,7 +361,7 @@ def cmd_scan_intervals(args):
         budget=args.budget,
         per_cell=args.per_cell or args.fmt == "csv",
     )
-    _, work = st.interval_route(spec, args.k, args.m, [lam], spec.q**args.k, args.budget)
+    _, work = st.scan_route(spec, args.k, args.m, lam, args.budget)
     projection = (spec.q ** (args.k - args.m - 1), work)
     return spec, params, projection, lambda: _scan_result(args, verify.scan_intervals(spec, args.k, args.m, lam, opts))
 

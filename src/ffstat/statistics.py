@@ -21,43 +21,56 @@ image is factored alone.
 
 Prime counts of an interval alone, for the nu decomposition and the
 counterexamples of `verify`, take no route: `interval_prime_count`
-strikes out every member with a monic factor of degree <= m + 1, for all
-such factors at once over lists of digits, and tests what is left with
-Rabin's test only when k // 2 > m + 1.
+strikes out every member with an irreducible factor of degree <= m + 1,
+for all such factors at once over lists of digits (`_strike`), and tests
+what is left with Rabin's test only when k // 2 > m + 1.  The same
+striking over all monic polynomials of degree d leaves the irreducibles
+of degree d (`irreducible_codes`).
 
 One rule, `census_route`, picks the route of every census, in one order:
 tables already built to degree k; else the ring, when its pair products
-fit the budget and it is priced cheapest, in microseconds; else new
+fit the budget and it is priced cheapest, in microseconds; else, for an
+interval scan of one type, the strike route, when its work fits the
+budget and it is priced no dearer than tables or factoring; else new
 tables, when importing numpy and sieving them is estimated to cost no
 more than factoring every member; else factoring.  A census with a ring
 passes its price lazily, so a census on built tables never prices one:
-`interval_route` for intervals, in the ring mod t^(k - m), and
-`progression_route` for residue classes, each also returning the work
-of the route taken, which is what the budget bounds.  The censuses of
-all q^k monic polynomials of degree k, summed per interval by
-`block_sums` for `mean_variance_nu` and `verify.scan_intervals`, and the
-progression scans of `verify` take the same rule; on the table route an
-interval scan without tables built to degree k counts only the members
-of its type, from tables up to the type's largest part.  The three
-routes give the same counts and are cross-checked in the tests.
-`tables`, and with it numpy, is imported only once the rule has picked
-the table route, so totients, radical sets, the nu decomposition, every
-ring census and every census that factors never load it: an interval
-census loads numpy only when its ring mod t^(k - m) is priced dearer
-than tables, that is when k - m is large and so are the members, or
-when its pair products exceed the budget.
+`interval_route` for intervals, in the ring mod t^(k - m),
+`progression_route` for residue classes and `scan_route` for interval
+scans, which also passes the typed routes' work (`scan_work`), each
+returning the work of the route taken, which is what the budget bounds.
+The censuses of all q^k monic polynomials of degree k, summed per
+interval by `block_sums` for `mean_variance_nu` and
+`verify.scan_intervals`, and the progression scans of `verify` take the
+same rule.  An interval scan of one type lam needs only the members of
+that type, products of irreducibles whose degrees are lam's parts: the
+strike route (`strike_block_counts`) lists the irreducibles by striking
+and multiplies the members in pure Python, and the table route without
+tables built to degree k lists them from tables up to lam's largest
+part.  The routes give the same counts and are cross-checked in the
+tests.  `tables`, and with it numpy, is imported only once the rule has
+picked the table route, so totients, radical sets, the nu decomposition,
+every ring census, every struck scan and every census that factors never
+load it: an interval census loads numpy only when its ring mod t^(k - m)
+is priced dearer than tables, that is when k - m is large and so are the
+members, or when its pair products exceed the budget, and an interval
+scan only when, besides, the strike route is priced dearer, that is when
+lam has a large part or many members.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from ffstat import gf, polyring as pr
-from ffstat.combinatorics import FrozenRecord, Partition, Record, divisors, partitions_of
+from ffstat.combinatorics import (FrozenRecord, Partition, Record, divisors, exact_prime_count, exact_type_count,
+                                  partitions_of)
 from ffstat.gf import DEFAULT_BUDGET, BudgetError, FieldSpec
 from ffstat.polyring import Poly
 
@@ -157,58 +170,87 @@ class TypeCensus(Record):
 
 # `census_route` compares the routes' costs in microseconds.  The table
 # route pays once for importing numpy and `tables`, then for sieving each
-# of the q + q^2 + ... + q^k codes of degrees 1..k; the factoring route
-# pays for each member; the ring route pays for each pair product it may
-# multiply, q^(2 delta) for R's multiplication table and for each
-# convolution, in pure Python, so it has no start-up.  The ring of
-# principal units, which counts intervals, is priced with the same
-# constant, which over-prices it (ROADMAP item 5).  `python
-# tools/route_costs.py` measures all three in fresh processes.
+# of the q + q^2 + ... + q^k codes of degrees 1..k (for an interval scan
+# of one type, up to its largest part, and a product a member and part);
+# the factoring route pays for each member; the ring route pays for each
+# pair product it may multiply, q^(2 delta) for R's multiplication table
+# and for each convolution, in pure Python, so it has no start-up.  The
+# ring of principal units, which counts intervals, is priced with the
+# same constant, which over-prices it (ROADMAP item 5).  The strike route
+# of an interval scan pays, in pure Python, for each code it strikes and
+# each product it makes (`scan_work`); its constant is the striking's,
+# which is dearer than its products.  `python tools/route_costs.py`
+# measures them all.
 TABLE_START_US = 110_000
 SIEVE_US_PER_CODE = 0.25
 FACTOR_US_PER_MEMBER = 220
 RING_US_PER_PRODUCT = 0.12
+STRIKE_US_PER_CODE = 1.0
 
 
 def census_route(spec: FieldSpec, k: int, members: int | None = None, products: Callable[[], int] | None = None,
-                 budget: int = DEFAULT_BUDGET) -> str:
-    """The route of a census of monic degree-k polynomials: "ring", "tables" or "factor".
+                 budget: int = DEFAULT_BUDGET, typed: Callable[[], tuple[int, int, int]] | None = None) -> str:
+    """The route of a census of monic degree-k polynomials: "ring", "strike", "tables" or "factor".
 
     `members` is how many a census would factor, None for a progression
     scan, which never factors; `products`, where a residue ring can count
     the census, is a function returning the ring's pair products
-    (`ring_products`, `interval_products`), else None.  The first that
-    holds:
+    (`ring_products`, `interval_products`), else None; `typed`, for an
+    interval scan of one type, is a function returning `scan_work`: the
+    codes struck and products made on the strike route, the codes
+    sieved and products made on the table route, and the cells, whose
+    counts both keep.  The first that holds:
 
     - "tables" when tables covering degree k are already built, since a
       lookup in them costs far less than factoring or any ring;
     - "ring" when its pair products fit the enumeration budget `budget`
-      and RING_US_PER_PRODUCT * products costs no more than building
-      tables for degree k, nor than factoring `members`;
-    - "tables" for a scan, or when q^k fits `budget` and building them
-      costs no more than factoring every member:
-      TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members;
+      and RING_US_PER_PRODUCT * products costs no more than any other
+      route priced here;
+    - "strike" when its work and the cells fit `budget` and
+      STRIKE_US_PER_CODE * its work costs no more than the tables, nor
+      than factoring `members`;
+    - "tables" for a progression scan, or when q^k (for a typed scan, the
+      work and the cells) fits `budget` and building them costs no more
+      than factoring every member:
+      TABLE_START_US + SIEVE_US_PER_CODE * (q + ... + q^k) <= FACTOR_US_PER_MEMBER * members,
+      or the table route's work in place of q + ... + q^k;
     - "factor".
 
-    `products` is called only when no built tables cover degree k.  The
-    start-up is charged whether or not numpy is loaded yet, so the route
-    depends only on the query, the budget and the tables already built.
-    The rule builds and imports nothing: a caller on "tables" reads them
-    from `tables.poly_tables`, and a census that factors or counts in the
-    ring never loads numpy.
+    `products` and `typed` are called only when no built tables cover
+    degree k.  The start-up is charged whether or not numpy is loaded
+    yet, so the route depends only on the query, the budget and the
+    tables already built.  The cells are priced on no route, since each
+    keeps one count a cell.  The rule builds and imports nothing: a
+    caller on "tables" reads them from `tables.poly_tables`, and a census
+    that factors, strikes or counts in the ring never loads numpy.
     """
-    tables = sys.modules.get("ffstat.tables")  # none are built before it is imported
-    if tables is not None and tables.cached_poly_tables(spec, k) is not None:
+    if _tables_built(spec, k):
         return "tables"
-    table_us = TABLE_START_US + SIEVE_US_PER_CODE * sum(spec.q**d for d in range(1, k + 1))
+    factor_us = math.inf if members is None else FACTOR_US_PER_MEMBER * members
+    strike_us = math.inf
+    if typed is None:
+        sieved, table_work = sum(spec.q**d for d in range(1, k + 1)), spec.q**k
+    else:
+        struck, sieved, cells = typed()
+        table_work = sieved + cells
+        if struck + cells <= budget:
+            strike_us = STRIKE_US_PER_CODE * struck
+    table_us = TABLE_START_US + SIEVE_US_PER_CODE * sieved
     if products is not None:
         pairs = products()
-        ring_us = RING_US_PER_PRODUCT * pairs
-        if pairs <= budget and ring_us <= table_us and (members is None or ring_us <= FACTOR_US_PER_MEMBER * members):
+        if pairs <= budget and RING_US_PER_PRODUCT * pairs <= min(table_us, strike_us, factor_us):
             return "ring"
-    if members is None or (spec.q**k <= budget and table_us <= FACTOR_US_PER_MEMBER * members):
+    if strike_us <= min(table_us, factor_us):
+        return "strike"
+    if members is None or (table_work <= budget and table_us <= factor_us):
         return "tables"
     return "factor"
+
+
+def _tables_built(spec: FieldSpec, k: int) -> bool:
+    """Whether tables covering degree k are built, without importing `tables`."""
+    tables = sys.modules.get("ffstat.tables")  # none are built before it is imported
+    return tables is not None and tables.cached_poly_tables(spec, k) is not None
 
 
 def block_sums(spec: FieldSpec, k: int, m: int, route: str, value, ring_vector, table_sums) -> list[int]:
@@ -219,8 +261,8 @@ def block_sums(spec: FieldSpec, k: int, m: int, route: str, value, ring_vector, 
     class.  On "tables", `table_sums(tables)` is handed the `tables`
     module, builds or reads the type tables it needs and returns the sums
     as an array.  Otherwise `value(g)` is summed over every member in code
-    order.  The caller has picked the route (`interval_route`) and checked
-    its budget.
+    order.  The caller has picked the route (`interval_route`,
+    `scan_route`) and checked its budget.
     """
     if route == "ring":
         vec = ring_vector(ResidueRing.principal_units(spec, k - m))
@@ -546,6 +588,51 @@ def interval_products(q: int, k: int, m: int, lams) -> int:
     return ring_products(q, k - m, levels, size=q ** (k - m - 1))
 
 
+def scan_route(spec: FieldSpec, k: int, m: int, lam: Partition, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
+    """The route of an interval scan for type lam over every I(f; m) of degree k, and its work.
+
+    `census_route` picks it over q^k members, offered the ring
+    `principal_units(spec, k - m)` at the price of its `interval_products`
+    and the typed routes at their `scan_work`, asked for only when no
+    built tables cover degree k.  The work is those pair products on
+    "ring"; on "strike" the codes struck and products made, and on
+    "tables" the codes sieved and products made, each with the cells, or
+    q^k on tables already built; else the q^k members.
+    """
+    q = spec.q
+
+    def products() -> int:
+        return interval_products(q, k, m, [lam])
+
+    def typed() -> tuple[int, int, int]:
+        return scan_work(q, k, m, lam)
+
+    route = census_route(spec, k, q**k, products, budget, typed)
+    if route == "ring":
+        return route, products()
+    if route == "factor" or _tables_built(spec, k):
+        return route, q**k
+    struck, sieved, cells = typed()
+    return route, (struck if route == "strike" else sieved) + cells
+
+
+def scan_work(q: int, k: int, m: int, lam: Partition) -> tuple[int, int, int]:
+    """The work of an interval scan for type lam on its typed routes: (struck, sieved, cells).
+
+    Both make one product a member and part, for the exact_type_count
+    members of type lam.  The strike route (`strike_block_counts`) also
+    strikes pi_q(e) q^(d - e) codes for each factor degree
+    e = 1 .. d // 2 of each part size d (`_strike`); the table route
+    (`tables.PolyTables.type_block_counts`) sieves the q + ... + q^(lam_1)
+    codes of tables up to the largest part.  Both keep a count for each
+    of the q^(k - m - 1) cells.
+    """
+    made = exact_type_count(q, k, lam) * len(lam.parts)
+    struck = sum(exact_prime_count(q, e) * q ** (d - e) for d in set(lam.parts) for e in range(1, d // 2 + 1))
+    sieved = sum(q**d for d in range(1, lam.parts[0] + 1))
+    return struck + made, sieved + made, q ** (k - m - 1)
+
+
 def _unit_code(f: Poly, m: int) -> int:
     """The code in U1 mod t^(k - m) of F* for the top t^(m+1) F of f: F's low coefficients, read from the top down."""
     code = 0
@@ -627,28 +714,121 @@ def interval_counts(interval: IntervalSpec, budget: int = DEFAULT_BUDGET) -> Typ
 
 
 def interval_prime_count(interval: IntervalSpec) -> int:
-    """The primes of I(f; m), counted by striking out the members with a small factor.
+    """The primes of I(f; m), counted by striking out the members with a small factor (`_strike`).
 
-    A member is g = top + h, with top the center f with its m + 1 low
-    coefficients zeroed and deg h <= m; it is reducible exactly when a
-    monic A of degree 1 <= d <= k // 2 divides it.  For d <= m + 1 the A
-    of degree d divide exactly the members h = -(top mod A) + A*u,
-    deg u <= m - d.  Those are listed for every A at once, in lockstep
-    over digit lists, as `_ring_rows` lists its products: top mod A by
-    long division, then q times as many entries for each coefficient of
-    u, and each h's code built a digit at a time, low digits first, as
-    they become final.  When k // 2 <= m + 1 every reducible member is
-    struck; otherwise Rabin's test runs on the members left.
+    A member is reducible exactly when a monic factor of degree
+    1 <= d <= k // 2 divides it.  When k // 2 <= m + 1 the striking
+    reaches every such factor; otherwise Rabin's test runs on the members
+    left.
     """
     spec, k, m, size = interval.spec, interval.k, interval.m, interval.size
+    struck = _strike(spec, interval.f.ci, m, min(m + 1, k // 2))
+    if k // 2 <= m + 1:
+        return size - struck.count(1)
+    return sum(pr.is_irreducible(pr.monic_from_code(spec, k, code)) for code, hit in zip(interval.codes(), struck) if not hit)
+
+
+def irreducible_codes(spec: FieldSpec, d: int) -> list[int]:
+    """The codes of the monic irreducibles of degree d, in increasing order.
+
+    They are the members of I(t^d; d - 1), all q^d monic polynomials of
+    degree d, that `_strike` leaves with no monic factor of degree
+    1 .. d // 2.
+    """
+    struck = _strike(spec, (0,) * d + (1,), d - 1, d // 2)
+    return [code for code, hit in enumerate(struck) if not hit]
+
+
+def _irreducible_digits(spec: FieldSpec, d: int) -> list[list[int]]:
+    """The d digits below the leading 1 of the monic irreducibles of degree d, one list a digit, low first."""
+    q = spec.q
+    codes = irreducible_codes(spec, d)
+    return [[code // q**i % q for code in codes] for i in range(d)]
+
+
+def strike_block_counts(spec: FieldSpec, lam: Partition, m: int) -> list[int]:
+    """The members of type lam of every interval I(f; m) of degree lam.k, in base-code order, without numpy.
+
+    `tables.PolyTables.type_block_counts` in pure Python: a member is a
+    product of irreducibles (`irreducible_codes`) whose degrees are lam's
+    parts, each product once: for a part d of multiplicity r, r
+    irreducibles of degree d in nondecreasing index order.  The parts are
+    multiplied in ascending order, one product so far at a time against
+    all its irreducibles of the next part in lockstep (`_row_products`).
+    Of the last part's products only the digits m + 1 .. k - 1 that name
+    the block are made, and they are counted one product so far at a
+    time, never all held.
+    """
+    ft = gf.field_table(spec)
+    q, k, parts = ft.q, lam.k, lam.parts[::-1]
+    # times[a][x * q + y] = x + a * y: adding a multiple of one digit takes one lookup
+    times = [[ft.add[x * q + ft.mul[a * q + y]] for x in range(q) for y in range(q)] for a in range(q)]
+    irr = {d: _irreducible_digits(spec, d) for d in set(parts)}
+    counts = [0] * q ** (k - m - 1)
+    prods, last, prev = [[]], [0], None  # the empty product 1, no digits below its leading 1; its last index
+    for n, d in enumerate(parts):
+        b, size = irr[d], len(irr[d][0])
+        final = n == len(parts) - 1
+        joined, indices = [[] for _ in range(len(prods[0]) + d)], []
+        for a, first in zip(prods, last if d == prev else [0] * len(prods)):  # a repeated part: indices >= the last
+            digits = _row_products(times, q, a, [col[first:] for col in b] if first else b, m + 1 if final else 0)
+            if final:  # the block of each product: its digits m + 1 .. k - 1
+                blocks = [0] * (size - first)
+                for col in reversed(digits):
+                    blocks = [x * q + y for x, y in zip(blocks, col)]
+                for x in blocks:
+                    counts[x] += 1
+            else:
+                for out, col in zip(joined, digits):
+                    out += col
+                indices += range(first, size)
+        prods, last, prev = [list(row) for row in zip(*joined)], indices, d
+    return counts
+
+
+def _row_products(times: list[list[int]], q: int, a: list[int], b: list[list[int]], lo: int) -> list[list[int]]:
+    """Digits lo .. da + db - 1 of the products a * b[.][x] over all x in lockstep, as lists, one a digit.
+
+    `a` holds the da digits below the leading 1 of one monic polynomial
+    and `b` those of many of degree db, one list a digit.  Digit s of a
+    product sums a_i b_(s-i), with a_da = b_db = 1, through `times`.
+    """
+    da, db, n = len(a), len(b), len(b[0])
+    out = []
+    for s in range(lo, da + db):
+        c = b[s - da] if s >= da else [0] * n  # a's leading 1
+        for i in range(max(0, s - db), min(da - 1, s) + 1):
+            if a[i]:
+                row = times[a[i]]  # b's leading 1 at s - i = db
+                c = [row[x * q + 1] for x in c] if s - i == db else [row[x * q + y] for x, y in zip(c, b[s - i])]
+        out.append(c)
+    return out
+
+
+def _strike(spec: FieldSpec, f_ci, m: int, top: int) -> bytearray:
+    """The members of I(f; m) with a factor of degree 1 .. top, top <= m + 1, marked 1 by the code of h.
+
+    A member is g = f' + h, with f' the center f (index tuple `f_ci`)
+    with its m + 1 low coefficients zeroed and deg h <= m.  It has a
+    monic factor of degree 1 .. top exactly when an irreducible one
+    divides it, and the irreducible A of degree d <= m + 1
+    (`irreducible_codes`, which strikes up to degree d // 2) divide
+    exactly the members h = -(f' mod A) + A*u, deg u <= m - d.  Those
+    are listed for every A at once, in lockstep over digit lists, as
+    `_ring_rows` lists its products: f' mod A by long division, then q
+    times as many entries for each coefficient of u, and each h's code
+    built a digit at a time, low digits first, as they become final.
+    Each degree d lists pi_q(d) q^(m + 1 - d) codes.
+    """
     ft = gf.field_table(spec)
     q, add, mul, neg = ft.q, ft.add, ft.mul, ft.neg
-    struck = bytearray(size)  # indexed by the code of h
-    for d in range(1, min(m + 1, k // 2) + 1):
-        n = q**d
-        # a[i]: coefficient i of every monic A of degree d, in code order
-        a = [[x for x in range(q) for _ in range(q**i)] * q ** (d - 1 - i) for i in range(d)] + [[1] * n]
-        rem = [[0] * n] * (m + 1) + [[c] * n for c in interval.f.ci[m + 1 :]]  # top, one entry per A
+    k = len(f_ci) - 1
+    struck = bytearray(q ** (m + 1))  # indexed by the code of h
+    for d in range(1, top + 1):
+        a = _irreducible_digits(spec, d)  # a[i]: coefficient i of every A
+        n = len(a[0])
+        a.append([1] * n)
+        rem = [[0] * n] * (m + 1) + [[c] * n for c in f_ci[m + 1 :]]  # f', one entry per A
         for s in range(k, d - 1, -1):  # subtract rem_s t^(s-d) A
             lead = [neg[x] for x in rem[s]]
             for i in range(d):
@@ -668,9 +848,7 @@ def interval_prime_count(interval: IntervalSpec) -> int:
             h[j] = None
         for c in codes:
             struck[c] = 1
-    if k // 2 <= m + 1:
-        return size - struck.count(1)
-    return sum(pr.is_irreducible(pr.monic_from_code(spec, k, code)) for code, hit in zip(interval.codes(), struck) if not hit)
+    return struck
 
 
 def progression_route(prog: ProgressionSpec, budget: int = DEFAULT_BUDGET) -> tuple[str, int]:
@@ -746,11 +924,21 @@ def nu(f: Poly, m: int, budget: int = DEFAULT_BUDGET) -> int:
     # the prime type (k), built only if the ring is priced: warm tables answer a session's nu calls in a few microseconds
     route, _ = interval_route(spec, k, m, None, size, budget)
     if route == "ring":
-        return ResidueRing.principal_units(spec, k - m).psi(k)[k][_unit_code(f, m)]
+        return _unit_psi(spec, k - m, k)[_unit_code(f, m)]
     pt, members = _specializations(f, pr.one_poly(spec), m, route)
     total = sum(map(von_mangoldt, members)) if pt is None else int(pt.lambda_table(k)[members].sum())
     # the only prime power with zero constant term is t^k (code 0, Lambda = 1), a member when f's code is below size
     return total - (pr.monic_code(f) < size)
+
+
+@lru_cache(maxsize=8)
+def _unit_psi(spec: FieldSpec, delta: int, k: int) -> list[int]:
+    """psi_k in the ring of principal units mod t^delta, for `nu`, shared and never modified.
+
+    The last few are kept, so the intervals of one degree k and one m
+    read one vector, as they read one table.
+    """
+    return ResidueRing.principal_units(spec, delta).psi(k)[k]
 
 
 def mean_variance_nu(spec: FieldSpec, k: int, m: int, budget: int = DEFAULT_BUDGET) -> tuple[Fraction, Fraction]:

@@ -57,7 +57,13 @@ kernels and chunks, and the last part's products are counted per block.
 Its work is the q + ... + q^(lam_1) codes of those tables plus at most
 one product per member and per part, where full tables sieve all
 q + ... + q^k codes: at q = 2, k = 18 and lam = 5+3+2+2+1^6 that is 62
-codes and 84 members against 524,286 codes.
+codes and 84 members against 524,286 codes.  `statistics` lists the
+same members without numpy (`statistics.strike_block_counts`, its
+irreducibles struck out as `interval_prime_count` strikes an interval),
+and `statistics.census_route` builds tables for such a scan only when
+numpy's start-up and this work are priced below that strike route
+(`statistics.scan_work`): a type with a part of 16 or more at q = 2,
+k = 18, or with many members, such as 3+2+1 at q = 9, k = 6.
 
 No kernel here calls BLAS, yet numpy's bundled OpenBLAS starts a pool of
 one worker thread per core when it loads, and on 2 cores the idle worker

@@ -13,27 +13,31 @@ threads); `ScanOptions.workers` is accepted and ignored.  Both scans take
 their route from `statistics.census_route`: tables already built to
 degree k, else the ring when its pair products fit the budget (an
 interval scan's own, the default one for a progression scan, whose
-budget bounds cells times members) and it is priced cheapest, else new
-tables or, for an interval scan, factoring.  On the ring, taken when m is
-above about k/2 or q^k is small, an interval scan reads every cell from
-one vector of the ring of principal units mod t^(k - m); else it factors
-all q^k monic polynomials of degree k, or counts from type tables: from
-tables already built to degree k when there are, and otherwise from
-tables up to its type's largest part, which list only the members of its
-type (`tables.PolyTables.type_block_counts`).  A progression scan never
-factors: it counts all classes of a modulus at once, on the ring in one
-`statistics.ResidueRing` a modulus, priced for every modulus it may
-reach, and otherwise from one listing of the degree-k codes a modulus in
-the tables.  The counterexamples count the primes of I(t^k, 0) and
-I(t^k, 1) with `statistics.interval_prime_count`, which needs no Rabin
-test at m = 0, k <= 3 nor at m = 1, k <= 5.  `tables`, and with it numpy,
-is imported only inside the functions that build or read tables, so the
-hypothesis checks, the counterexamples, interval scans and variance
-trends on the ring route and progression scans with small moduli never
-load it: an interval scan loads numpy only when the ring mod t^(k - m)
-is priced dearer than tables (`scan-intervals --p 2 --k 12 --m 1` does,
-at --m 2 --k 10 it does not).  The command line imports this module only
-for the subcommands that run it.
+budget bounds cells times members) and it is priced cheapest, else for
+an interval scan the strike route, else new tables or, for an interval
+scan, factoring.  On the ring, taken when m is above about k/2 or q^k is
+small, an interval scan reads every cell from one vector of the ring of
+principal units mod t^(k - m).  Else it counts only the members of its
+type: in pure Python, by striking out the irreducibles of each part
+degree and multiplying them (`statistics.strike_block_counts`), or from
+tables up to its type's largest part
+(`tables.PolyTables.type_block_counts`); or it reads tables already
+built to degree k, or factors all q^k monic polynomials of degree k.
+`statistics.scan_route` prices and projects all of these.  A progression
+scan never factors: it counts all classes of a modulus at once, on the
+ring in one `statistics.ResidueRing` a modulus, priced for every modulus
+it may reach, and otherwise from one listing of the degree-k codes a
+modulus in the tables.  The counterexamples count the primes of I(t^k, 0)
+and I(t^k, 1) with `statistics.interval_prime_count`, which needs no
+Rabin test at m = 0, k <= 3 nor at m = 1, k <= 5.  `tables`, and with it
+numpy, is imported only inside the functions that build or read tables,
+so the hypothesis checks, the counterexamples, interval scans on the
+ring or strike route, variance trends on the ring route and progression
+scans with small moduli never load it: an interval scan loads numpy only
+when both the ring mod t^(k - m) and the strike route are priced dearer
+than tables (`scan-intervals --p 2 --k 16 --m 1 --lambda 16` does; at
+--k 12 --lambda 12, and at --m 2 --k 10, it does not).  The command line
+imports this module only for the subcommands that run it.
 """
 
 from __future__ import annotations
@@ -261,7 +265,8 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     (p = 2 divides k(k-1), so m = 1 is always excluded and m >= 3 always
     covered); every other scan classifies once, on code 0.  On the ring
     route the counts come from `statistics.interval_type_counts`, and each
-    t^(m+1) F is factored, through F, only when lam has m + 1 parts 1.
+    t^(m+1) F is factored, through F, only when lam has m + 1 parts 1; on
+    the strike route from `statistics.strike_block_counts`.
     """
     opts = options or ScanOptions()
     if not 1 <= m < k:
@@ -269,7 +274,7 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
     if lam.k != k:
         raise ValueError(f"{lam} is not a partition of {k}")
     q = spec.q
-    route, work = st.interval_route(spec, k, m, [lam], q**k, opts.budget)
+    route, work = st.scan_route(spec, k, m, lam, opts.budget)
     if work > opts.budget:
         raise BudgetError(
             f"projected enumeration of {q}^{k} = {q**k} polynomials "
@@ -284,8 +289,11 @@ def scan_intervals(spec: FieldSpec, k: int, m: int, lam: Partition, options: Opt
             return pt.block_counts(k, pt.pid_of(lam), block)
         return pt.type_block_counts(lam, block)
 
-    counts = st.block_sums(spec, k, m, route, lambda g: pr.factorization_type(g) == lam,
-                           lambda ring: st.interval_type_counts(ring, [lam], m)[lam], table_counts)
+    if route == "strike":
+        counts = st.strike_block_counts(spec, lam, m)
+    else:
+        counts = st.block_sums(spec, k, m, route, lambda g: pr.factorization_type(g) == lam,
+                               lambda ring: st.interval_type_counts(ring, [lam], m)[lam], table_counts)
     if route == "ring" and lam.parts[-(m + 1) :] == (1,) * (m + 1):  # t^(m+1) F, counted apart, may have type lam
         counts = [n + (st.lone_type(top, m) == lam) for n, top in zip(counts, pr.all_monic(spec, k - m - 1))]
     expected = cycle_type_probability(lam) * block

@@ -225,25 +225,46 @@ PROJECTIONS = [
     (["mean-variance", "--p", "3", "--k", "4", "--m", "1", "--budget", "567"], "ring", 567),
     (["mean-variance", "--p", "3", "--k", "4", "--m", "1", "--budget", "566"], "factor", 81),
     (["mean-variance", "--p", "2", "--k", "10", "--m", "1"], "tables", 1_024),
+    # a scan of one type is also offered the strike route (codes struck, products made and cells: 108 + 18 + 9 and
+    # 1,920 + 99 + 256) and the table route up to the type's largest part (131,070 + 8,160 + 256)
     (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "567"], "ring", 567),
-    (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "566"], "factor", 81),
-    (["scan-intervals", "--p", "2", "--k", "10", "--m", "1", "--lambda", "10"], "tables", 1_024),
+    (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "566"], "strike", 135),
+    (["scan-intervals", "--p", "3", "--k", "4", "--m", "1", "--lambda", "4", "--budget", "134"], "factor", 81),
+    (["scan-intervals", "--p", "2", "--k", "10", "--m", "1", "--lambda", "10"], "strike", 2_275),
+    (["scan-intervals", "--p", "2", "--k", "10", "--m", "1", "--lambda", "10", "--budget", "2274"], "factor", 1_024),
+    (["scan-intervals", "--p", "2", "--k", "18", "--m", "9", "--lambda", "16+2"], "tables", 139_486),
 ]
+PROJECTED = {tuple(argv) for argv, _, _ in PROJECTIONS}
+
+
+def _at_budget(argv, budget):
+    """argv with --budget set to budget."""
+    if "--budget" in argv:
+        argv = argv[: argv.index("--budget")]
+    return argv + ["--budget", str(budget)]
 
 
 @pytest.mark.parametrize("argv,route,work", PROJECTIONS, ids=[f"{argv[0]}-{route}" for argv, route, _ in PROJECTIONS])
 def test_dry_run_projects_the_route_taken(capsys, monkeypatch, argv, route, work):
-    # --dry-run projects the work of the route the run then takes: the ring's pair products, else the members.
-    # A wrapper around census_route records each route it picks, with the ring's price where it asked for it.
+    # --dry-run projects the work of the route the run then takes: the ring's pair products, for a scan of one type
+    # the typed routes' work with its cells, else the members.  A wrapper around census_route records each route it
+    # picks, with the ring's price or the typed routes' work where it asked for them.
     monkeypatch.setattr(tables, "_PT_CACHE", {})  # as in a fresh process
     taken = []
     rule = st.census_route
 
-    def recording(spec, k, members=None, products=None, budget=DEFAULT_BUDGET):
-        priced = []
+    def recording(spec, k, members=None, products=None, budget=DEFAULT_BUDGET, typed=None):
+        priced, works = [], []
         price = None if products is None else lambda: priced.append(products()) or priced[0]
-        chosen = rule(spec, k, members, price, budget)
-        taken.append((chosen, priced[0] if chosen == "ring" else members))
+        typed_work = None if typed is None else lambda: works.append(typed()) or works[0]
+        chosen = rule(spec, k, members, price, budget, typed_work)
+        if chosen == "ring":
+            taken.append((chosen, priced[0]))
+        elif works and chosen != "factor":
+            struck, sieved, cells = works[0]
+            taken.append((chosen, (struck if chosen == "strike" else sieved) + cells))
+        else:
+            taken.append((chosen, members))
         return chosen
 
     monkeypatch.setattr(st, "census_route", recording)
@@ -251,9 +272,14 @@ def test_dry_run_projects_the_route_taken(capsys, monkeypatch, argv, route, work
     del taken[:]
     run_json(capsys, argv)
     assert len(taken) == 2 and set(taken) == {(route, work)}  # the projection's and the run's
-    if route != "ring":  # one below the members, every route is over the budget
-        code, out, err = run(capsys, argv + ["--budget", str(work - 1)])
-        assert code == 2 and out == "" and err.count("\n") == 1 and f"projected enumeration {work} " in err
+    if tuple(_at_budget(argv, work - 1)) not in PROJECTED:  # else that row pins the route taken one below the work
+        # one below the work, every route is over the budget: the command exits 2 naming the work it projects there
+        # (the same members, or a typed scan's q^k members)
+        below = _at_budget(argv, work - 1)
+        projected = run_json(capsys, below + ["--dry-run"])["result"]["projected_enumeration"]
+        assert projected >= work
+        code, out, err = run(capsys, below)
+        assert code == 2 and out == "" and err.count("\n") == 1 and f"projected enumeration {projected} " in err
 
 
 def test_dry_run(capsys, monkeypatch):
@@ -264,9 +290,12 @@ def test_dry_run(capsys, monkeypatch):
     )
     # on the ring route the projection is the ring's pair products: the 3 principal units mod t^2, 3^2 * (1 + 5)
     assert env["result"] == {"projected_cells": 3, "projected_enumeration": 54}
-    # on the table route it is the q^k members
+    # on the strike route it is the codes struck and the products made, 8,256 + 335, and the 1,024 cells
     env = run_json(capsys, ["scan-intervals", "--p", "2", "--k", "12", "--m", "1", "--lambda", "12", "--dry-run"])
-    assert env["result"] == {"projected_cells": 1024, "projected_enumeration": 4096}
+    assert env["result"] == {"projected_cells": 1024, "projected_enumeration": 9_615}
+    # on the table route without built tables, the codes sieved and the products made, 131,070 + 4,080, and the cells
+    env = run_json(capsys, ["scan-intervals", "--p", "2", "--k", "16", "--m", "1", "--lambda", "16", "--dry-run"])
+    assert env["result"] == {"projected_cells": 16_384, "projected_enumeration": 151_534}
     env = run_json(capsys, ["pi", "--p", "2", "--k", "3", "--dry-run"])
     assert "projected_cells" in env["result"]
     env = run_json(

@@ -187,6 +187,32 @@ def test_interval_prime_count_matches_rabin(p, nu):
     assert branches == {False, True}
 
 
+@pytest.mark.parametrize("q,d", [(2, 12), (3, 7), (9, 4)])
+def test_irreducible_codes_match_the_tables(q, d):
+    # the codes the striking kernel of interval_prime_count leaves over I(t^e; e - 1) are the product sieve's
+    # irreducibles of degree e, for every e <= d
+    spec = gf.make_field(*gf.prime_power(q))
+    pt = tables.PolyTables(spec, d)
+    for e in range(1, d + 1):
+        assert st.irreducible_codes(spec, e) == pt.irr_codes[e].tolist(), (q, e)
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 8), (3, 6), (4, 5), (5, 4), (9, 4)])
+def test_strike_route_agrees(q, kmax):
+    # the members of each type of every interval I(f; m), for every m and every type (1^k among them): struck out
+    # and multiplied in pure Python, from the numpy typed route and by factoring every monic of degree k
+    spec = gf.make_field(*gf.prime_power(q))
+    pt = tables.PolyTables(spec, kmax)
+    for k in range(1, kmax + 1):
+        types = [pr.factorization_type(g) for g in pr.all_monic(spec, k)]
+        for m in range(k):
+            block = q ** (m + 1)
+            for lam in partitions_of(k):
+                factored = [sum(t == lam for t in types[lo : lo + block]) for lo in range(0, q**k, block)]
+                assert st.strike_block_counts(spec, lam, m) == factored, (q, k, m, str(lam))
+                assert pt.type_block_counts(lam, block).tolist() == factored, (q, k, m, str(lam))
+
+
 def test_full_degree_interval_is_global_census(F2, F3):
     for spec in (F2, F3):
         for k in range(1, 5):
@@ -335,11 +361,13 @@ def test_census_route_rule(monkeypatch):
         (F2, 10, lambda: st.progression_counts(prog10).counts, lambda: direct_progression_census(prog10), "factor"),
         (F2, 17, lambda: st.progression_counts(prog17).counts, lambda: direct_progression_census(prog17), "tables"),
         # interval scans and the nu mean and variance read every interval of degree k: at F_3, k = 4 from one ring
-        # (54 pair products mod t^2, 567 mod t^3); at F_2, k = 10, m = 1 from tables (110,511.5 <= 220 * 1,024,
-        # against 3,014,656 pair products mod t^9, 361.8 ms)
+        # (54 pair products mod t^2, 567 mod t^3); at F_2, k = 10, m = 1 the nu sums from tables (110,511.5 <= 220 *
+        # 1,024, against 3,014,656 pair products mod t^9, 361.8 ms), and the scan for the prime type by striking out
+        # the irreducibles of degree 10 (1,920 codes struck and 99 products, 2,019 us against 110,536.25 us of
+        # tables up to degree 10)
         (F3, 4, lambda: _scan_counts(F3, 4, 2), lambda: _direct_scan_counts(F3, 4, 2), "ring"),
         (F3, 4, lambda: st.mean_variance_nu(F3, 4, 1), lambda: _direct_mean_variance(F3, 4, 1), "ring"),
-        (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), "tables"),
+        (F2, 10, lambda: _scan_counts(F2, 10, 1), lambda: _direct_scan_counts(F2, 10, 1), "strike"),
         (F2, 10, lambda: st.mean_variance_nu(F2, 10, 1), lambda: _direct_mean_variance(F2, 10, 1), "tables"),
     ]
     factored = []
@@ -350,6 +378,7 @@ def test_census_route_rule(monkeypatch):
     monkeypatch.setattr(st.ResidueRing, "principal_units", lambda spec, delta: rings.append(delta) or units(spec, delta))
     for spec, k, census, oracle, route in cases:
         tables._PT_CACHE.clear()
+        st._unit_psi.cache_clear()  # nu keeps its last psi vectors, as the table cache keeps tables
         expected = oracle()
         del factored[:], rings[:]
         assert census() == expected
@@ -365,7 +394,7 @@ def test_census_route_rule(monkeypatch):
         assert not rings
     # the boundary of the ring of principal units: variance-trend --k 5 --m 1 counts q <= 5 in the ring mod t^4
     # (171,875 pair products at q = 5, 20.6 ms) and builds tables from q = 7 (1,294,139 products, 155.3 ms, against
-    # 114,901.75 us); the scans of the sieve-scans workload stay on tables
+    # 114,901.75 us); a census of all types of an interval of the sieve-scans workload's degrees stays on tables
     tables._PT_CACHE.clear()
     nu_k = [Partition((5,))]
     assert [st.interval_route(gf.make_field(*gf.prime_power(q)), 5, 1, nu_k, q**5)[0] for q in (2, 3, 4, 5, 7, 8, 9)] == [
@@ -375,6 +404,17 @@ def test_census_route_rule(monkeypatch):
     assert st.interval_route(gf.make_field(7, 1), 5, 1, nu_k, 7**5) == ("tables", 7**5)
     for q, k, lam in [(9, 6, (6,)), (9, 6, (1,) * 6), (2, 18, (18,)), (2, 18, (1,) * 18)]:
         assert st.interval_route(gf.make_field(*gf.prime_power(q)), k, 1, [Partition(lam)], q**k)[0] == "tables"
+    # the scans of the sieve-scans workload strike out their irreducibles below the prime type's (639,172 and
+    # 1,031,037 us of striking against 244,704.5 and 281,577.5 us of tables), and at F_2, k = 18 up to a largest
+    # part of 15 (79,392 us against 128,565.5 us of tables up to degree 15; 157,156 against 144,807.5 at 16)
+    routes = {(q, k, lam): st.scan_route(gf.make_field(*gf.prime_power(q)), k, 1, Partition(lam))
+              for q, k, lam in [(9, 6, (6,)), (9, 6, (1,) * 6), (2, 18, (18,)), (2, 18, (1,) * 18), (2, 18, (15, 3)),
+                                (2, 18, (16, 2))]}
+    assert routes == {
+        (9, 6, (6,)): ("tables", 686_310 + 6_561), (9, 6, (1,) * 6): ("strike", 18_018 + 6_561),
+        (2, 18, (18,)): ("tables", 538_818 + 65_536), (2, 18, (1,) * 18): ("strike", 342 + 65_536),
+        (2, 18, (15, 3)): ("strike", 79_392 + 65_536), (2, 18, (16, 2)): ("tables", 139_230 + 65_536),
+    }
 
 
 def test_census_tables_boundary(monkeypatch):
@@ -435,6 +475,29 @@ def test_ring_route_boundary(monkeypatch):
     longer = verify.scan_progressions(F2, 8, 1, lam, ScanOptions(per_cell=True, max_cells=9))
     assert not rings and F2 in tables._PT_CACHE
     assert longer.per_cell[:8] == cut.per_cell
+
+
+def test_strike_route_boundary(monkeypatch):
+    monkeypatch.setattr(tables, "_PT_CACHE", {})
+    F2 = gf.make_field(2, 1)
+    # a typed scan at k = 10 with 99 members of one part: tables up to degree 10, 2,046 codes sieved and 99
+    # products, cost 110,536.25 us; at 1 us a unit of its work the strike route is no dearer up to 110,536
+    assert st.census_route(F2, 10, 1024, typed=lambda: (110_536, 2_145, 256)) == "strike"
+    assert st.census_route(F2, 10, 1024, typed=lambda: (110_537, 2_145, 256)) == "tables"
+    # its work and the cells must fit the budget, as must the tables'; over both, the members are factored
+    assert st.census_route(F2, 10, 1024, typed=lambda: (5_219, 2_145, 256), budget=5_475) == "strike"
+    assert st.census_route(F2, 10, 1024, typed=lambda: (5_219, 2_145, 256), budget=5_474) == "tables"
+    assert st.census_route(F2, 10, 1024, typed=lambda: (5_219, 2_145, 256), budget=2_400) == "factor"
+    # against factoring 4 members, 880 us
+    assert st.census_route(F2, 10, 4, typed=lambda: (880, 2_145, 1)) == "strike"
+    assert st.census_route(F2, 10, 4, typed=lambda: (881, 2_145, 1)) == "factor"
+    # the ring is taken only when no dearer than the strike route too: 1,200 us are 10,000 pair products
+    assert st.census_route(F2, 10, 1024, lambda: 10_000, typed=lambda: (1_200, 2_145, 256)) == "ring"
+    assert st.census_route(F2, 10, 1024, lambda: 10_001, typed=lambda: (1_200, 2_145, 256)) == "strike"
+    # built tables take the scan, and neither typed route is priced
+    tables.poly_tables(F2, 10)
+    priced = []
+    assert st.census_route(F2, 10, 1024, typed=lambda: priced.append(1) or (1, 2_145, 256)) == "tables" and not priced
 
 
 def _force_route(monkeypatch, route):

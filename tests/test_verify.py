@@ -264,12 +264,13 @@ def test_aggregator_adds_a_list_as_its_cells():
 
 @pytest.mark.parametrize("q,kmax", [(2, 5), (3, 4), (4, 3)])
 def test_whole_degree_routes_agree(q, kmax, monkeypatch):
-    # interval scans (summary, per-cell JSON and CSV) and the nu mean and variance, by factoring and by table lookup;
-    # q = 2 and 4 include the p = m = 2 scans, whose cells are classified one by one
+    # interval scans (summary, per-cell JSON and CSV) and the nu mean and variance, by factoring, by table lookup and
+    # (the scans; the nu sums then factor) by striking out irreducibles and multiplying the members of the scan's
+    # type in pure Python; q = 2 and 4 include the p = m = 2 scans, whose cells are classified one by one
     spec = gf.make_field(*gf.prime_power(q))
     tables.poly_tables(spec, kmax)
     results = {}
-    for route in ("factor", "tables"):
+    for route in ("factor", "tables", "strike"):
         monkeypatch.setattr(st, "census_route", lambda *args, route=route, **kwargs: route)
         out = results[route] = []
         for k in range(2, kmax + 1):
@@ -280,7 +281,7 @@ def test_whole_degree_routes_agree(q, kmax, monkeypatch):
                     report = verify.scan_intervals(spec, k, m, lam, ScanOptions(per_cell=True))
                     out.append(canonical_json(verify.report_to_dict(report)))
                     out.append(cli._csv_text(report))
-    assert results["factor"] == results["tables"]
+    assert results["factor"] == results["tables"] == results["strike"]
 
 
 def test_scan_intervals_sieves_only_to_the_largest_part(F3, monkeypatch):

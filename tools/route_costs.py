@@ -25,7 +25,13 @@ checkout's `src/`:
             (lambda = (k)), as `mean-variance`, `variance-trend` and
             `scan-intervals --lambda k` run it for every interval of
             degree k at m = k - delta, or lambda = 1^k, which reads every
-            level.
+            level;
+  strike    `statistics.strike_block_counts(spec, lam, 1)`, the strike
+            route of `scan-intervals --lambda lam` at m = 1, per unit of
+            its work in `statistics.scan_work` (codes struck and products
+            made), beside the numpy typed route (tables up to lam's
+            largest part and `PolyTables.type_block_counts`) after
+            numpy's start-up.
 
 The sieve and factoring costs are taken at each (q, k) point below, one
 process a point.  The script prints them with the break-even ratio
@@ -43,7 +49,10 @@ loop and numpy sort that `perfbench/speed.py` probes the machine with.
 Each build is also printed as a ratio to the reference load of its round.
 The machine's speed moves every point together by up to 2x from run to
 run; the ratios cancel most of that drift, so two trees compare by their
-ratios.
+ratios.  The strike points are timed the same way, in one process with
+both routes of each point interleaved, at the types the `sieve-scans`
+workload draws at q = 2 and q = 9 and at two larger parts at q = 2 where
+the rule's boundary lies.
 
     python -m compileall -q src && python tools/route_costs.py
 
@@ -65,6 +74,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from ffstat import statistics as st
+from ffstat.combinatorics import Partition
 
 POINTS = ((2, 14), (3, 9), (5, 6), (9, 5), (7, 5))
 WHOLE_DEGREE_POINTS = ((3, 4), (3, 5), (2, 8))  # every member, as in the scans and mean-variance runs of the bench
@@ -78,6 +88,12 @@ RING_POINTS = (
     (3, 2, 9, True), (3, 2, 20, True), (3, 3, 7, False), (5, 2, 6, False), (2, 4, 8, False), (5, 3, 8, False),
 )
 MODULI = 5
+# (q, k, lambda) at m = 1: the sieve-scans types of seeds 1, 5 and 6 at q = 2 and of seeds 5, 1 and 7 at q = 9,
+# then striking-heavy types at q = 2 on both sides of the rule's boundary
+STRIKE_POINTS = (
+    (2, 18, (5, 3, 2, 2) + (1,) * 6), (2, 18, (8, 3) + (1,) * 7), (2, 18, (11, 2, 2, 2, 1)),
+    (9, 6, (2, 1, 1, 1, 1)), (9, 6, (4, 2)), (9, 6, (3, 2, 1)), (2, 18, (14, 4)), (2, 18, (16, 2)),
+)
 # (q, delta, k, lambda = 1^k rather than (k)): the principal units mod t^delta, intervals of degree k at m = k - delta
 UNIT_POINTS = ((2, 8, 10, False), (2, 8, 10, True), (5, 4, 5, False), (7, 4, 5, False), (3, 4, 20, False))
 
@@ -160,6 +176,45 @@ print(json.dumps([sorted(times)[reps // 2], len(ds) * st.ring_products(q, delta,
 """
 
 
+STRIKE = """
+import json, sys, time
+from ffstat import gf, statistics as st, tables
+from ffstat.combinatorics import Partition
+import numpy as np  # after `tables`, which sets OpenBLAS's thread count before numpy loads
+rounds, points = int(sys.argv[1]), json.loads(sys.argv[2])
+data = np.arange(600_000, dtype=np.int64)
+
+def reference():  # the load perfbench/speed.py times, about 30 ms
+    s = 0
+    for i in range(150_000):
+        s += i * i % 7
+    np.sort(data * 2654435761 % 1000003)
+
+def strike(spec, lam):
+    st.strike_block_counts(spec, lam, 1)
+
+def typed(spec, lam):  # fresh tables up to the largest part, as a cold scan builds them
+    tables._PT_CACHE.clear()
+    tables.poly_tables(spec, lam.parts[0]).type_block_counts(lam, spec.q**2).tolist()
+
+loads = []
+for q, k, parts in points:
+    spec, lam = gf.make_field(*gf.prime_power(q)), Partition(tuple(parts))
+    gf.field_table(spec)
+    loads += [lambda spec=spec, lam=lam: strike(spec, lam), lambda spec=spec, lam=lam: typed(spec, lam)]
+loads.append(reference)
+reference()
+times = [[] for _ in loads]
+for r in range(rounds):
+    for j in range(len(loads)):
+        i = (j + r) % len(loads)
+        t = time.perf_counter()
+        loads[i]()
+        times[i].append(time.perf_counter() - t)
+print(json.dumps(times))
+"""
+
+
 UNITS = """
 import json, sys, time
 from ffstat import gf, statistics as st
@@ -238,9 +293,22 @@ def main() -> int:
         unit_us.append(s / products * 1e6)
         print(f"{q:>3} {delta:>5} {k:>3} {'1^k' if ones else 'prime':>6} {products:>10} {s:>8.4f} {unit_us[-1]:>10.3f}")
     print(f"units {min(unit_us):.3f}-{max(unit_us):.3f} us a pair product, median {statistics.median(unit_us):.3f}")
+    print(f"strike points, m = 1, {SIEVE_ROUNDS} interleaved runs of each route in one process; numpy after its start-up")
+    print(f"{'q':>3} {'k':>3} {'lambda':>22} {'work':>8} {'strike s':>9} {'us/unit':>8} {'/ ref':>6} {'numpy s':>8}")
+    *times, ref = json.loads(_child(STRIKE, SIEVE_ROUNDS, json.dumps(STRIKE_POINTS)))
+    strike_us = []
+    for (q, k, parts), strike_ts, typed_ts in zip(STRIKE_POINTS, times[::2], times[1::2]):
+        work, _, _ = st.scan_work(q, k, 1, Partition(parts))
+        s = statistics.median(strike_ts)
+        strike_us.append(s / work * 1e6)
+        ratio = statistics.median(t / r for t, r in zip(strike_ts, ref))
+        lam = "+".join(map(str, parts))
+        print(f"{q:>3} {k:>3} {lam:>22} {work:>8} {s:>9.4f} {strike_us[-1]:>8.3f} {ratio:>6.2f} {statistics.median(typed_ts):>8.4f}")
+    print(f"strike {min(strike_us):.3f}-{max(strike_us):.3f} us a unit of work, median {statistics.median(strike_us):.3f}")
     print(
         f"statistics uses:  start-up {st.TABLE_START_US} us, sieve {st.SIEVE_US_PER_CODE} us a code, "
-        f"factoring {st.FACTOR_US_PER_MEMBER} us a member, ring {st.RING_US_PER_PRODUCT} us a pair product; "
+        f"factoring {st.FACTOR_US_PER_MEMBER} us a member, ring {st.RING_US_PER_PRODUCT} us a pair product, "
+        f"strike {st.STRIKE_US_PER_CODE} us a unit; "
         f"break-even "
         f"{st.FACTOR_US_PER_MEMBER / st.SIEVE_US_PER_CODE:.0f} codes a member plus "
         f"{st.TABLE_START_US / st.SIEVE_US_PER_CODE:.0f} codes of start-up"
