@@ -127,13 +127,8 @@ for _ in range(reps):
 print(json.dumps([sorted(sieve)[reps // 2], sorted(factor)[reps // 2]]))
 """
 
-SIEVE = """
-import json, sys, time
-from ffstat import gf, tables
-import numpy as np  # after `tables`, which sets OpenBLAS's thread count before numpy loads
-rounds, *qk = map(int, sys.argv[1:])
-points = list(zip(qk[::2], qk[1::2]))
-specs = [gf.make_field(*gf.prime_power(q)) for q, _ in points]
+# the tail of the SIEVE and STRIKE scripts: `loads` timed in rotating order with a fixed reference load, `rounds` rounds
+INTERLEAVED = """
 data = np.arange(600_000, dtype=np.int64)
 
 def reference():  # the load perfbench/speed.py times, about 30 ms
@@ -142,10 +137,7 @@ def reference():  # the load perfbench/speed.py times, about 30 ms
         s += i * i % 7
     np.sort(data * 2654435761 % 1000003)
 
-loads = [lambda spec=spec, k=k: tables.PolyTables(spec, k) for spec, (_, k) in zip(specs, points)] + [reference]
-for spec in specs:
-    gf.field_table(spec)
-    tables.PolyTables(spec, 2)
+loads.append(reference)
 reference()
 times = [[] for _ in loads]
 for r in range(rounds):
@@ -156,6 +148,19 @@ for r in range(rounds):
         times[i].append(time.perf_counter() - t)
 print(json.dumps(times))
 """
+
+SIEVE = """
+import json, sys, time
+from ffstat import gf, tables
+import numpy as np  # after `tables`, which sets OpenBLAS's thread count before numpy loads
+rounds, *qk = map(int, sys.argv[1:])
+points = list(zip(qk[::2], qk[1::2]))
+specs = [gf.make_field(*gf.prime_power(q)) for q, _ in points]
+loads = [lambda spec=spec, k=k: tables.PolyTables(spec, k) for spec, (_, k) in zip(specs, points)]
+for spec in specs:
+    gf.field_table(spec)
+    tables.PolyTables(spec, 2)
+""" + INTERLEAVED
 
 RING = """
 import json, sys, time
@@ -182,13 +187,6 @@ from ffstat import gf, statistics as st, tables
 from ffstat.combinatorics import Partition
 import numpy as np  # after `tables`, which sets OpenBLAS's thread count before numpy loads
 rounds, points = int(sys.argv[1]), json.loads(sys.argv[2])
-data = np.arange(600_000, dtype=np.int64)
-
-def reference():  # the load perfbench/speed.py times, about 30 ms
-    s = 0
-    for i in range(150_000):
-        s += i * i % 7
-    np.sort(data * 2654435761 % 1000003)
 
 def strike(spec, lam):
     st.strike_block_counts(spec, lam, 1)
@@ -202,17 +200,7 @@ for q, k, parts in points:
     spec, lam = gf.make_field(*gf.prime_power(q)), Partition(tuple(parts))
     gf.field_table(spec)
     loads += [lambda spec=spec, lam=lam: strike(spec, lam), lambda spec=spec, lam=lam: typed(spec, lam)]
-loads.append(reference)
-reference()
-times = [[] for _ in loads]
-for r in range(rounds):
-    for j in range(len(loads)):
-        i = (j + r) % len(loads)
-        t = time.perf_counter()
-        loads[i]()
-        times[i].append(time.perf_counter() - t)
-print(json.dumps(times))
-"""
+""" + INTERLEAVED
 
 
 UNITS = """
